@@ -34,6 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -84,14 +94,14 @@ def build_parser() -> _Parser:
         p.add_argument("--split", default="dev", choices=["train", "dev", "test"])
         if name in ("eval", "decode"):
             p.add_argument("--head", default="avg", choices=["v", "k", "o", "c", "avg"])
-            p.add_argument("--beam-width", type=int, default=5)
+            p.add_argument("--beam-width", type=_positive_int, default=5)
 
     p = sub.add_parser("gradcheck", parents=[common], help="finite-difference audit")
     p.add_argument("--skip-model", action="store_true", help="primitives only")
 
     p = sub.add_parser("bench", parents=[common], help="time training and decoding")
     p.add_argument("--corpus", default=None)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_positive_int, default=20)
 
     return parser
 

@@ -302,40 +302,74 @@ def beam_decode(stream: ProbStream, width: int = 5) -> list:
     Each surviving prefix carries separate blank/non-blank probability
     tracks; the result is the highest-scoring prefix, ties broken toward
     the lexicographically smaller one.
+
+    Per frame, every extension of every surviving prefix is scored at once
+    in one [W, C-1] array.  Only an extension that lands on a surviving
+    prefix is merged in Python; its entry then has at most two non-blank
+    sources, and ``_lae`` is commutative, so the beam order cannot change a
+    bit.  ``np.partition`` keeps every candidate tied with or above the
+    width-th best before the exact ``(-score, prefix)`` sort.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     logp = stream.log_matrix()
-    T, C = logp.shape
-    beams = {(): (0.0, _NEG_INF)}
-    for t in range(T):
-        row = logp[t]
-        nxt = {}
-        for prefix, (pb, pnb) in beams.items():
-            total = _lae(pb, pnb)
-            # stay on the same prefix via a blank frame
-            b, nb = nxt.get(prefix, (_NEG_INF, _NEG_INF))
-            nxt[prefix] = (_lae(b, total + row[BLANK]), nb)
-            last = prefix[-1] if prefix else None
-            for c in range(1, C):
-                lp_c = row[c]
-                if c == last:
-                    # repeated frame extends the existing symbol...
-                    b, nb = nxt.get(prefix, (_NEG_INF, _NEG_INF))
-                    nxt[prefix] = (b, _lae(nb, pnb + lp_c))
-                    # ...while a blank-separated repeat emits a new one
-                    ext = prefix + (c,)
-                    b, nb = nxt.get(ext, (_NEG_INF, _NEG_INF))
-                    nxt[ext] = (b, _lae(nb, pb + lp_c))
-                else:
-                    ext = prefix + (c,)
-                    b, nb = nxt.get(ext, (_NEG_INF, _NEG_INF))
-                    nxt[ext] = (b, _lae(nb, total + lp_c))
-        if len(nxt) > width:
-            ranked = sorted(nxt.items(), key=lambda kv: (-_lae(*kv[1]), kv[0]))
-            nxt = dict(ranked[:width])
-        beams = nxt
-    best = min(beams.items(), key=lambda kv: (-_lae(*kv[1]), kv[0]))
+    C = logp.shape[1]
+    prefixes, pb, pnb = [()], [0.0], [_NEG_INF]
+    for t, row in enumerate(logp.tolist()):
+        W = len(prefixes)
+        totals = [_lae(b, nb) for b, nb in zip(pb, pnb)]
+        # ext[i, c - 1]: non-blank track of prefix i extended by class c
+        ext = np.add.outer(totals, logp[t, 1:])
+        index = {}
+        for i, prefix in enumerate(prefixes):
+            index[prefix] = i
+            if prefix:
+                # a blank-separated repeat emits a new symbol from pb only
+                ext[i, prefix[-1] - 1] = pb[i] + row[prefix[-1]]
+        ext = ext.ravel()
+
+        # each prefix stays via a blank frame or a repeated last symbol, and
+        # absorbs the extension of its parent by that symbol
+        stay = []
+        merged = []
+        for j, prefix in enumerate(prefixes):
+            b = totals[j] + row[BLANK]
+            nb = _NEG_INF
+            if prefix:
+                last = prefix[-1]
+                nb = pnb[j] + row[last]
+                i = index.get(prefix[:-1])
+                if i is not None:
+                    k = i * (C - 1) + last - 1
+                    nb = _lae(nb, ext[k])
+                    merged.append(k)
+            stay.append((_lae(b, nb), b, nb))
+        ext[merged] = _NEG_INF
+
+        scores = np.concatenate([[s for s, _, _ in stay], ext])
+        prune = scores.size - len(merged) > width
+        if prune:
+            kth = scores.size - width
+            picks = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+        else:
+            picks = np.arange(scores.size)
+        skip = {W + k for k in merged}
+        cands = []
+        for n, score in zip(picks.tolist(), scores[picks].tolist()):
+            if n < W:
+                _, b, nb = stay[n]
+                cands.append((-score, prefixes[n], b, nb))
+            elif n not in skip:
+                i, c = divmod(n - W, C - 1)
+                cands.append((-score, prefixes[i] + (c + 1,), _NEG_INF, score))
+        if prune:
+            # prefixes are unique, so the sort never compares past them
+            cands.sort()
+            del cands[width:]
+        prefixes = [c[1] for c in cands]
+        pb = [c[2] for c in cands]
+        pnb = [c[3] for c in cands]
+    best = min(zip(prefixes, pb, pnb), key=lambda e: (-_lae(e[1], e[2]), e[0]))
     return list(best[0])
 
 

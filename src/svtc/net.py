@@ -87,6 +87,15 @@ class TextFeatures:
 
 
 @dataclass
+class Recognition:
+    """Recognition trunk output: the four head streams inference reads."""
+
+    streams: dict  # {"v"|"k"|"o"|"c": ProbStream}, log-space
+    block_feats: dict  # per-modality fused block outputs, feed the pyramid
+    joint: Array  # [T', 3 * d_v] concatenation, feeds the adapters
+
+
+@dataclass
 class ModelOutputs:
     streams: dict  # {"v"|"k"|"o"|"c": ProbStream}, log-space
     spn_streams: list  # 2 per branch, log-space ProbStreams
@@ -464,7 +473,8 @@ class Model:
             streams.append(ProbStream(logp, log_space=True))
         return streams
 
-    def forward(self, sample) -> ModelOutputs:
+    def recognize(self, sample) -> Recognition:
+        """Branches, fusion and the four recognition heads: all decoding needs."""
         xv = Array(sample.x_v)
         xk = Array(sample.x_k)
         xo = Array(sample.x_o)
@@ -477,19 +487,23 @@ class Model:
             streams[key] = ProbStream(logp, log_space=True)
         _, logp = self.heads["c"](joint)
         streams["c"] = ProbStream(logp, log_space=True)
+        return Recognition(streams=streams, block_feats=feats, joint=joint)
 
+    def forward(self, sample) -> ModelOutputs:
+        """The recognition trunk plus the training-only pyramid and adapters."""
+        rec = self.recognize(sample)
         spn_streams = []
         for m in ("v", "k", "o"):
-            spn_streams.extend(self.spn_forward(m, feats[m]))
+            spn_streams.extend(self.spn_forward(m, rec.block_feats[m]))
 
-        gloss_feats = self.adapter_gloss(joint)
-        sentence_feats = self.adapter_sentence(joint)
+        gloss_feats = self.adapter_gloss(rec.joint)
+        sentence_feats = self.adapter_sentence(rec.joint)
         text = self.text_encoder.encode(sample.glosses)
         text_tokens = self.adapter_text(text.features)
         text_sentence = self.adapter_text(text.eos_feature)
 
         return ModelOutputs(
-            streams=streams,
+            streams=rec.streams,
             spn_streams=spn_streams,
             gloss_space_feats=gloss_feats,
             sentence_space_feats=sentence_feats,

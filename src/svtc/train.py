@@ -160,15 +160,19 @@ def load_checkpoint(base_path) -> net.Model:
 
 
 def decode_sample(model: net.Model, sample, width: int = 5, head: str = "avg") -> list:
-    """Gloss ids for one sample via beam search over the selected stream."""
-    with ndgrad.no_grad():
-        out = model.forward(sample)
-    if head == "avg":
-        stream = average_streams([out.streams[k] for k in net.HEAD_KEYS])
-    elif head in out.streams:
-        stream = out.streams[head]
-    else:
+    """Gloss ids for one sample via beam search over the selected stream.
+
+    Only the recognition trunk runs: the pyramid and adapters supervise
+    training and never reach a decode.
+    """
+    if head != "avg" and head not in net.HEAD_KEYS:
         raise ValueError(f"unknown head {head!r} (expected v|k|o|c|avg)")
+    with ndgrad.no_grad():
+        streams = model.recognize(sample).streams
+    if head == "avg":
+        stream = average_streams([streams[k] for k in net.HEAD_KEYS])
+    else:
+        stream = streams[head]
     return beam_decode(stream, width=width)
 
 

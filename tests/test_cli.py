@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svtc import gradcheck, synthdata
+from svtc import gradcheck, net, synthdata
 from svtc import ndgrad as ng
+from svtc import train as train_mod
 from svtc.cli import main
 from svtc.ndgrad import Array
 from svtc.synthdata import GenConfig
@@ -22,6 +23,8 @@ from svtc.train import (
     save_checkpoint,
     train,
 )
+
+from beam_oracle import reference_beam_decode
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +209,40 @@ class TestEvalAndDecode:
         total_ref = sum(r.ref_len for r in reports)
         assert agg.wer == total_edits / total_ref
 
+    def test_evaluate_split_matches_forward_reference(self, tiny_corpus, tiny_run):
+        from svtc.ctc import aggregate_reports, average_streams, wer
+        from svtc.train import evaluate_split
+
+        _, artifacts, tcfg = tiny_run
+        model = load_checkpoint(artifacts.checkpoint_path)
+        pairs = synthdata.load_split(tiny_corpus, "dev") + synthdata.load_split(
+            tiny_corpus, "test"
+        )
+        reports, want = [], []
+        for sample, _ in pairs:
+            with ng.no_grad():
+                out = model.forward(sample)
+            stream = average_streams([out.streams[k] for k in net.HEAD_KEYS])
+            hyp = reference_beam_decode(stream, tcfg.beam_width)
+            reports.append(wer(model.vocab.ids(sample.glosses), hyp))
+            want.append((sample.id, model.vocab.lookup_all(hyp)))
+        report, decodes = evaluate_split(model, pairs, width=tcfg.beam_width, workers=1)
+        assert decodes == want
+        assert report.to_dict() == aggregate_reports(reports).to_dict()
+        assert any(glosses for _, glosses in decodes)
+
+    def test_unknown_head_rejected_before_the_model_runs(self):
+        from svtc.train import decode_sample
+
+        class Untouchable:
+            def recognize(self, sample):
+                raise AssertionError("model ran before the head was checked")
+
+            forward = recognize
+
+        with pytest.raises(ValueError, match="unknown head 'x'"):
+            decode_sample(Untouchable(), sample=None, head="x")
+
     def test_decode_line_format(self, tiny_corpus, tiny_run, tmp_path):
         _, artifacts, _ = tiny_run
         rc = main(
@@ -336,6 +373,29 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_beam_width_below_one_fails_before_loading(
+        self, tmp_path, monkeypatch, capsys, command, width
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("checkpoint loaded despite a bad --beam-width")
+
+        monkeypatch.setattr(train_mod, "evaluate_corpus", must_not_run)
+        argv = [command, "--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ck")]
+        assert main(argv + ["--beam-width", width]) == 1
+        assert f"--beam-width: must be >= 1, got {width}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-3", "two"])
+    def test_bench_steps_below_one_is_usage_error(self, monkeypatch, capsys, steps):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("bench started despite a bad --steps")
+
+        monkeypatch.setattr(synthdata, "generate_corpus", must_not_run)
+        assert main(["bench", "--steps", steps]) == 1
+        captured = capsys.readouterr()
+        assert "--steps" in captured.err and captured.out == ""
 
     def test_success_is_0(self, tmp_path):
         out = tmp_path / "c"

@@ -24,6 +24,8 @@ from svtc.ctc import (
 )
 from svtc.ndgrad import Array
 
+from beam_oracle import reference_beam_decode
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -292,6 +294,38 @@ class TestBeamDecode:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             beam_decode(ProbStream(np.array([[0.5, 0.5]])), width=0)
+
+    def test_matches_scalar_oracle_2000_streams(self):
+        # exact list equality: the vectorized search merges the same terms
+        # in an order _lae cannot tell apart, so no tolerance applies
+        rng = np.random.default_rng(31)
+        for case in range(2000):
+            kind = case % 4
+            width = (1, 2, 5, 40, 10**6)[case // 4 % 5]
+            if width == 10**6:  # no pruning: every prefix survives
+                T, C = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+            elif width == 40:
+                T, C = int(rng.integers(1, 21)), int(rng.integers(2, 12))
+            else:
+                T, C = int(rng.integers(1, 61)), int(rng.integers(2, 42))
+            logits = 2.0 * rng.standard_normal((T, C))
+            if kind == 1:
+                logits = np.round(logits)  # equal cells force score ties
+            elif kind == 2:
+                logits = np.zeros((T, C))  # uniform rows: ties everywhere
+            P = np.exp(logits)
+            if kind == 3:
+                P[rng.random((T, C)) < 0.3] = 0.0  # -inf cells in log space
+                P[:, BLANK] += 1e-3
+            P = P / P.sum(axis=1, keepdims=True)
+            if case // 20 % 2:
+                with np.errstate(divide="ignore"):
+                    s = ProbStream(np.log(P), log_space=True)
+            else:
+                s = ProbStream(P)
+            assert beam_decode(s, width) == reference_beam_decode(s, width), (
+                case, T, C, width
+            )
 
 
 class TestAverageStreams:

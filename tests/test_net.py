@@ -107,6 +107,21 @@ class TestFusion:
                 == out_p.streams[key].probs.data.tobytes()
             )
 
+    @pytest.mark.parametrize("kind", ["mlp", "conv", "attn", "none"])
+    def test_recognize_streams_match_forward(self, kind):
+        model = Model(small_cfg(fusion_kind=kind), VOCAB)
+        rng = np.random.default_rng(4)
+        # move the zero-initialized fusion outputs so fusion changes streams
+        for p in model.parameters().values():
+            p.data = p.data + 0.2 * rng.standard_normal(p.data.shape)
+        sample = make_sample(T=19)
+        rec = model.recognize(sample).streams
+        full = model.forward(sample).streams
+        assert list(rec) == list(full) == list(net.HEAD_KEYS)
+        for key in net.HEAD_KEYS:
+            assert rec[key].log_space and full[key].log_space
+            assert rec[key].probs.data.tobytes() == full[key].probs.data.tobytes()
+
     def test_mlp_symmetry_identical_inputs(self):
         model = Model(small_cfg(), VOCAB)
         fusion = model.fusions[0]
