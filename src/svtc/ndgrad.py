@@ -176,7 +176,7 @@ def _attach(out: Array, inputs, grad_fn) -> None:
 
 
 def _tracing(*arrays) -> bool:
-    if not _grad_enabled():
+    if not getattr(_state, "enabled", True):  # _grad_enabled(), inlined: hot path
         return False
     for a in arrays:
         if a._node is not None or a.grad_tracked:
@@ -217,39 +217,39 @@ class Tape:
 
     @classmethod
     def trace(cls, out: Array) -> "Tape":
+        # Arrays and nodes hash by identity, so they key the sets directly
         entries = []
         leaves = []
-        seen_nodes = set()
-        seen_leaves = set()
+        seen = set()
         stack = [out]
         while stack:
             a = stack.pop()
             n = a._node
             if n is not None:
-                if id(n) not in seen_nodes:
-                    seen_nodes.add(id(n))
+                if n not in seen:
+                    seen.add(n)
                     entries.append((a, n))
                     stack.extend(n.inputs)
-            elif a.grad_tracked and id(a) not in seen_leaves:
-                seen_leaves.add(id(a))
+            elif a.grad_tracked and a not in seen:
+                seen.add(a)
                 leaves.append(a)
         entries.sort(key=lambda e: e[1].seq)
         return cls(entries, leaves)
 
     def run_backward(self, out: Array) -> dict:
-        grads = {id(out): np.ones((), dtype=np.float64)}
+        grads = {out: np.ones((), dtype=np.float64)}
         for a, n in reversed(self.entries):
-            g = grads.pop(id(a), None)
+            g = grads.pop(a, None)
             if g is None:
                 continue
             for inp, gi in zip(n.inputs, n.grad_fn(g)):
                 if gi is None or (inp._node is None and not inp.grad_tracked):
                     continue
-                prev = grads.get(id(inp))
-                grads[id(inp)] = gi if prev is None else prev + gi
+                prev = grads.get(inp)
+                grads[inp] = gi if prev is None else prev + gi
         result = {}
         for leaf in self.leaves:
-            g = grads.get(id(leaf))
+            g = grads.get(leaf)
             if g is None:
                 g = np.zeros_like(leaf.data)
             else:
@@ -370,15 +370,31 @@ def gelu(a) -> Array:
     ``GELU_CUBIC_COEFF`` = 0.044715)."""
     a = _as_array(a)
     x = a.data
-    inner = _GELU_SCALE * (x + GELU_CUBIC_COEFF * x * x * x)
-    t = np.tanh(inner)
-    out = Array(0.5 * x * (1.0 + t))
+    # in-place steps in the operation order of the expressions noted
+    # alongside: the same bits with fewer temporaries
+    t = np.multiply(GELU_CUBIC_COEFF, x, out=np.empty_like(x))  # scale * (x + c*x*x*x)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    y = np.multiply(0.5, x, out=np.empty_like(x))  # 0.5 * x * (1 + t)
+    y *= 1.0 + t
+    out = Array(y)
     if _tracing(a):
 
         def grad_fn(g):
-            sech2 = 1.0 - t * t
-            dinner = _GELU_SCALE * (1.0 + 3.0 * GELU_CUBIC_COEFF * x * x)
-            return (g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner),)
+            sech2 = np.multiply(t, t, out=np.empty_like(t))  # 1 - t * t
+            np.subtract(1.0, sech2, out=sech2)
+            dinner = np.multiply(3.0 * GELU_CUBIC_COEFF, x, out=np.empty_like(x))
+            dinner *= x  # scale * (1 + 3c * x * x)
+            dinner += 1.0
+            dinner *= _GELU_SCALE
+            dx = np.multiply(0.5, x, out=np.empty_like(x))
+            dx *= sech2  # g * (0.5 * (1 + t) + 0.5 * x * sech2 * dinner)
+            dx *= dinner
+            dx += 0.5 * (1.0 + t)
+            return (g * dx,)
 
         _attach(out, (a,), grad_fn)
     return out

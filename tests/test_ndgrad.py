@@ -182,6 +182,23 @@ class TestElementwise:
             x = Array(np.array([point]), grad_tracked=True)
             check_grads(lambda: ng.reduce_sum(ng.gelu(x)), [x], tol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (13, 64)])
+    def test_gelu_bitwise_equals_textbook_expressions(self, shape):
+        # the in-place evaluation must keep every rounding of the formulas
+        c, scale = ng.GELU_CUBIC_COEFF, np.sqrt(2.0 / np.pi)
+        rng = np.random.default_rng(17)
+        x = np.asarray(4.0 * rng.standard_normal(shape))
+        g = rng.standard_normal(shape)
+        t = np.tanh(scale * (x + c * x * x * x))
+        want_y = 0.5 * x * (1.0 + t)
+        dinner = scale * (1.0 + 3.0 * c * x * x)
+        want_dx = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        a = Array(x, grad_tracked=True)
+        y = ng.gelu(a)
+        assert y.data.tobytes() == np.asarray(want_y).tobytes()
+        ng.backward(ng.reduce_sum(ng.mul(y, Array(g))))
+        assert a.grad.tobytes() == np.asarray(want_dx).tobytes()
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ng.log(Array([1.0, 0.0]))
