@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndgrad
-from .ctc import BLANK, ProbStream
+from .ctc import ProbStream, validate_labels
 from .ndgrad import Array
 
 # row-stochastic inputs can contain exact zeros early in training
@@ -80,15 +80,7 @@ def extract_columns(stream, labels) -> np.ndarray:
         mat = np.asarray(stream.data if isinstance(stream, Array) else stream, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a [T', C] probability matrix")
-    C = mat.shape[1]
-    idx = []
-    for c in labels:
-        c = int(c)
-        if c == BLANK:
-            raise ValueError("labels must not contain the blank id")
-        if not 0 < c < C:
-            raise ValueError(f"label id {c} out of range for {C} classes")
-        idx.append(c)
+    idx = validate_labels(labels, mat.shape[1])
     if not idx:
         raise ValueError("empty label sequence")
     return mat[:, idx]
@@ -139,17 +131,21 @@ def dtw_align(M) -> AlignmentPath:
     return AlignmentPath(assignment=assignment, log_score=score)
 
 
-def path_to_spans(path: AlignmentPath) -> SegmentSpans:
-    """Maximal runs of frames assigned to each gloss, in order."""
-    a = path.assignment
+def _runs(values) -> list:
+    """[start, stop) ranges of the maximal runs of equal values, in order."""
     spans = []
     start = 0
-    for t in range(1, len(a)):
-        if a[t] != a[t - 1]:
+    for t in range(1, len(values)):
+        if values[t] != values[t - 1]:
             spans.append((start, t))
             start = t
-    spans.append((start, len(a)))
-    return SegmentSpans(spans=spans)
+    spans.append((start, len(values)))
+    return spans
+
+
+def path_to_spans(path: AlignmentPath) -> SegmentSpans:
+    """Maximal runs of frames assigned to each gloss, in order."""
+    return SegmentSpans(spans=_runs(path.assignment))
 
 
 def pool_visual(features: Array, spans: SegmentSpans) -> Array:
@@ -180,11 +176,4 @@ def pool_tokens(token_features: Array, token_to_gloss) -> Array:
     for a, b in zip(mapping, mapping[1:]):
         if b - a not in (0, 1):
             raise ValueError("token map must be monotonic and onto 0..N-1")
-    spans = []
-    start = 0
-    for i in range(1, len(mapping)):
-        if mapping[i] != mapping[i - 1]:
-            spans.append((start, i))
-            start = i
-    spans.append((start, len(mapping)))
-    return ndgrad.pool_spans(token_features, spans)
+    return ndgrad.pool_spans(token_features, _runs(mapping))

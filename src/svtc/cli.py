@@ -14,9 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 
 
-from . import gradcheck, net, synthdata, train as train_mod
-from .ctc import GlossVocab
-from .synthdata import GenConfig
+from . import gradcheck, ndgrad, net, synthdata, train as train_mod
+from .synthdata import GenConfig, HeatmapConfig
 from .train import TrainConfig
 
 
@@ -49,12 +48,15 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _dataclass_from(cls, data: dict, label: str):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+def _dataclass_from(cls, data: dict, label: str, build: bool = True):
+    """``cls(**data)`` after rejecting a non-object or unknown keys as usage errors."""
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise UsageError(f"unknown {label} config keys: expected an object, got {kind}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown {label} config keys: {sorted(unknown)}")
-    return cls(**data)
+    return cls(**data) if build else data
 
 
 def build_parser() -> _Parser:
@@ -71,10 +73,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common], help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_positive_int, default=None)
     p.add_argument("--lr0", type=float, default=None)
     p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--align-warmup", type=int, default=None)
     p.add_argument("--lambda-ctc", type=float, default=None)
     p.add_argument("--lambda-spn", type=float, default=None)
@@ -106,11 +108,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _train_config(args) -> TrainConfig:
-    data = {}
-    if args.config:
-        raw = _load_json(args.config)
-        data = raw.get("train", raw) if isinstance(raw, dict) else {}
+def _train_config(args, raw) -> TrainConfig:
+    data = raw.get("train", raw) if isinstance(raw, dict) else raw
     tcfg = _dataclass_from(TrainConfig, data, "train")
     override_map = {
         "epochs": args.epochs,
@@ -138,6 +137,8 @@ def cmd_gen_data(args) -> int:
     if not args.out:
         raise UsageError("gen-data requires --out")
     data = _load_json(args.config) if args.config else {}
+    if isinstance(data, dict) and isinstance(data.get("heatmap"), dict):
+        data["heatmap"] = _dataclass_from(HeatmapConfig, data["heatmap"], "heatmap")
     cfg = _dataclass_from(GenConfig, data, "generation")
     if args.seed is not None:
         cfg.seed = args.seed
@@ -151,12 +152,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if not args.out:
         raise UsageError("train requires --out")
-    tcfg = _train_config(args)
-    model_overrides = {}
-    if args.config:
-        raw = _load_json(args.config)
-        if isinstance(raw, dict) and "model" in raw:
-            model_overrides = dict(raw["model"])
+    raw = _load_json(args.config) if args.config else {}
+    tcfg = _train_config(args, raw)
+    model_overrides = _dataclass_from(net.ModelConfig, raw.get("model", {}), "model", build=False)
     artifacts = train_mod.train(args.corpus, args.out, tcfg, model_overrides)
     print(
         f"best dev WER {artifacts.best_dev_wer:.4f}; "
@@ -229,25 +227,12 @@ def cmd_bench(args) -> int:
         synthdata.generate_corpus(cfg, tmp.name)
         corpus = tmp.name
     try:
-        meta = synthdata.load_meta(corpus)
-        vocab = GlossVocab(tuple(meta["glosses"]))
-        gen_cfg = meta.get("config", {})
-        model = net.Model(
-            net.ModelConfig(
-                vocab_size=vocab.size,
-                in_dim_v=gen_cfg.get("d_v_in", 16),
-                in_dim_k=gen_cfg.get("d_k_in", 12),
-                in_dim_o=gen_cfg.get("d_o_in", 16),
-                seed=seed,
-            ),
-            vocab,
-        )
+        model = train_mod.model_for_corpus(synthdata.load_meta(corpus), seed=seed)
+        vocab = model.vocab
         pairs = synthdata.load_split(corpus, "train")
         samples = [s for s, _ in pairs]
         optimizer = train_mod.Adam(model.parameters())
         weights = net.LossWeights()
-
-        from . import ndgrad
 
         t0 = time.perf_counter()
         steps = 0

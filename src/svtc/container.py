@@ -40,7 +40,11 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a container back into {name: float64 ndarray} (file order)."""
+    """Read a container back into {name: float64 ndarray} (file order).
+
+    Every malformed file raises :class:`ContainerError`: bad magic or version,
+    truncation anywhere, a name that is not UTF-8, or bytes past the last tensor.
+    """
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ContainerError(f"bad magic in {path}")
@@ -55,7 +59,13 @@ def load_tensors(path) -> dict:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", buf, off)
             off += 2
-            name = buf[off : off + nlen].decode("utf-8")
+            raw_name = buf[off : off + nlen]
+            if len(raw_name) != nlen:
+                raise ContainerError(f"truncated container: {path}")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ContainerError(f"tensor name is not UTF-8 at byte {off}") from err
             off += nlen
             (rank,) = struct.unpack_from("<B", buf, off)
             off += 1
@@ -76,4 +86,6 @@ def load_tensors(path) -> dict:
             off = end
     except struct.error as err:
         raise ContainerError(f"truncated container: {path}") from err
+    if off != len(buf):
+        raise ContainerError(f"{len(buf) - off} trailing bytes after the last tensor in {path}")
     return out

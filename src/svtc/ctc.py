@@ -145,7 +145,8 @@ def expand_with_blanks(labels) -> np.ndarray:
     return ext
 
 
-def _validate_labels(labels, n_classes: int) -> list:
+def validate_labels(labels, n_classes: int) -> list:
+    """Integer gloss ids, each a non-blank class below ``n_classes``."""
     labels = [int(c) for c in labels]
     for c in labels:
         if c == BLANK:
@@ -219,7 +220,7 @@ def _ctc_kernel(stack: np.ndarray, ext: np.ndarray, skip: np.ndarray):
 
 
 def _prepare_labels(labels, T: int, C: int):
-    labels = _validate_labels(labels, C)
+    labels = validate_labels(labels, C)
     need = min_frames(labels)
     if T < need:
         raise CtcInfeasibleError(
@@ -240,24 +241,14 @@ def ctc_loss(log_probs, labels) -> Array:
     posteriors.  An infeasible label length raises
     :class:`CtcInfeasibleError` instead of returning an infinite loss.
     """
-    if isinstance(log_probs, ProbStream):
-        raise TypeError("pass the log-probability Array, not a ProbStream")
-    lp = log_probs if isinstance(log_probs, Array) else Array(log_probs)
-    u = lp.data
-    if u.ndim != 2:
-        raise ValueError("log_probs must be [T', C]")
-    T, C = u.shape
-    ext, skip = _prepare_labels(labels, T, C)
-    log_p, grad = _ctc_kernel(u[None, :, :], ext, skip)
-    g0 = grad[0]
-    return ndgrad.custom_op(np.float64(-log_p[0]), (lp,), lambda g: (g * g0,))
+    return ctc_loss_group([log_probs], labels)[0]
 
 
 def ctc_loss_group(log_prob_arrays, labels) -> list:
-    """CTC losses for several equal-shape streams of one sample at once.
+    """:func:`ctc_loss` for several equal-shape streams of one sample at once.
 
-    Equivalent to mapping :func:`ctc_loss`, but the recursion is batched;
-    returns one scalar Array per input stream.
+    The recursion is batched over the streams; returns one scalar Array per
+    input stream.
     """
     arrays = [a if isinstance(a, Array) else Array(a) for a in log_prob_arrays]
     if not arrays:
@@ -266,6 +257,8 @@ def ctc_loss_group(log_prob_arrays, labels) -> list:
     for a in arrays[1:]:
         if a.data.shape != shape:
             raise ValueError("grouped streams must share one shape")
+    if len(shape) != 2:
+        raise ValueError("log_probs must be [T', C]")
     T, C = shape
     ext, skip = _prepare_labels(labels, T, C)
     stack = np.stack([a.data for a in arrays], axis=0)

@@ -31,15 +31,12 @@ __all__ = [
     "sub",
     "neg",
     "mul",
-    "relu",
     "gelu",
     "log",
     "exp",
-    "elementwise",
     "matmul",
     "transpose",
     "concat",
-    "take_columns",
     "slice_rows",
     "softmax",
     "log_softmax",
@@ -356,15 +353,6 @@ def mul(a, b) -> Array:
     return out
 
 
-def relu(a) -> Array:
-    a = _as_array(a)
-    out = Array(np.maximum(a.data, 0.0))
-    if _tracing(a):
-        mask = a.data > 0.0
-        _attach(out, (a,), lambda g: (g * mask,))
-    return out
-
-
 def gelu(a) -> Array:
     """Gaussian error linear unit, tanh approximation (cubic coefficient
     ``GELU_CUBIC_COEFF`` = 0.044715)."""
@@ -423,18 +411,6 @@ def exp(a) -> Array:
     return out
 
 
-_ELEMENTWISE = {"add": add, "mul": mul, "relu": relu, "gelu": gelu, "log": log, "exp": exp}
-
-
-def elementwise(kind: str, *arrays) -> Array:
-    """Dispatch an elementwise primitive by name (add|mul|relu|gelu|log|exp)."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind: {kind!r}") from None
-    return fn(*arrays)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape primitives
 
@@ -481,29 +457,6 @@ def concat(arrays, axis: int = 0) -> Array:
             return tuple(p if _live(a) else None for p, a in zip(parts, arrays))
 
         _attach(out, tuple(arrays), grad_fn)
-    return out
-
-
-def take_columns(a, indices) -> Array:
-    """Gather columns of a 2-D array; duplicate indices accumulate gradient."""
-    a = _as_array(a)
-    if a.data.ndim != 2:
-        raise ValueError("take_columns expects a 2-D array")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[1]):
-        raise ValueError("column index out of range")
-    out = Array(a.data[:, idx])
-    if _tracing(a):
-        shape = a.data.shape
-
-        def grad_fn(g):
-            gx = np.zeros(shape)
-            np.add.at(gx, (slice(None), idx), g)
-            return (gx,)
-
-        _attach(out, (a,), grad_fn)
     return out
 
 
@@ -636,19 +589,11 @@ def pool_spans(a, spans) -> Array:
 # temporal convolutions
 
 
-def _conv_geometry(T: int, k: int, stride: int, padding: str):
-    if padding == "same":
-        t_out = -(-T // stride)
-        pad = max((t_out - 1) * stride + k - T, 0)
-    elif padding == "valid":
-        if T < k:
-            raise ValueError("input shorter than kernel with valid padding")
-        t_out = (T - k) // stride + 1
-        pad = 0
-    else:
-        raise ValueError(f"unknown padding: {padding!r}")
-    pad_left = (pad + 1) // 2
-    return t_out, pad, pad_left
+def _conv_geometry(T: int, k: int, stride: int):
+    """Same padding: ceil(T / stride) outputs, the odd pad frame on the left."""
+    t_out = -(-T // stride)
+    pad = max((t_out - 1) * stride + k - T, 0)
+    return t_out, pad, (pad + 1) // 2
 
 
 def _check_conv_args(T, k, stride):
@@ -660,7 +605,7 @@ def _check_conv_args(T, k, stride):
         raise ValueError("kernel size must be odd")
 
 
-def temporal_conv(x, w, stride: int = 1, padding: str = "same") -> Array:
+def temporal_conv(x, w, stride: int = 1) -> Array:
     """1-D convolution along time: x [T, Cin], w [k, Cin, Cout] -> [T', Cout].
 
     Same-padding output length is ceil(T / stride), padded left-heavy.
@@ -674,7 +619,7 @@ def temporal_conv(x, w, stride: int = 1, padding: str = "same") -> Array:
     if cin != wcin:
         raise ValueError(f"channel mismatch: input {cin}, weight {wcin}")
     _check_conv_args(T, k, stride)
-    t_out, pad, pad_left = _conv_geometry(T, k, stride, padding)
+    t_out, pad, pad_left = _conv_geometry(T, k, stride)
     xp = np.zeros((T + pad, cin))
     xp[pad_left : pad_left + T] = xd
     win = np.empty((t_out, k, cin))
@@ -718,7 +663,7 @@ def transposed_temporal_conv(x, w, stride: int = 1) -> Array:
         raise ValueError(f"channel mismatch: input {xcout}, weight {cout}")
     _check_conv_args(T, k, stride)
     t_out = T * stride
-    _, pad, pad_left = _conv_geometry(t_out, k, stride, "same")
+    _, pad, pad_left = _conv_geometry(t_out, k, stride)
     vp = np.zeros((t_out + pad, cin))
     for j in range(k):
         vp[j : j + stride * T : stride] += xd @ wd[j].T

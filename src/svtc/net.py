@@ -21,7 +21,7 @@ import numpy as np
 
 from . import align as align_mod
 from . import contrast, ndgrad
-from .ctc import GlossVocab, ProbStream, ctc_loss_group
+from .ctc import GlossVocab, ctc_loss_group
 from .ndgrad import Array
 
 HEAD_KEYS = ("v", "k", "o", "c")
@@ -90,15 +90,15 @@ class TextFeatures:
 class Recognition:
     """Recognition trunk output: the four head streams inference reads."""
 
-    streams: dict  # {"v"|"k"|"o"|"c": ProbStream}, log-space
+    streams: dict  # {"v"|"k"|"o"|"c": [T', C] log-prob Array}
     block_feats: dict  # per-modality fused block outputs, feed the pyramid
     joint: Array  # [T', 3 * d_v] concatenation, feeds the adapters
 
 
 @dataclass
 class ModelOutputs:
-    streams: dict  # {"v"|"k"|"o"|"c": ProbStream}, log-space
-    spn_streams: list  # 2 per branch, log-space ProbStreams
+    streams: dict  # {"v"|"k"|"o"|"c": [T', C] log-prob Array}
+    spn_streams: list  # 2 per branch, log-prob Arrays
     gloss_space_feats: Array  # [T', d_j], feeds gloss-level alignment
     sentence_space_feats: Array  # [T', d_j], feeds sentence-level alignment
     text: TextFeatures
@@ -418,17 +418,6 @@ class Model:
     def parameters(self) -> dict:
         return self.store.table
 
-    def branch_forward(self, x, modality: str) -> list:
-        """Per-block outputs for one modality, without fusion."""
-        if x.data.shape[0] < 4:
-            raise ValueError("need at least 4 frames")
-        feats = []
-        h = x
-        for conv in self.blocks[modality]:
-            h = ndgrad.gelu(conv(h))
-            feats.append(h)
-        return feats
-
     def _branches_fused(self, xv, xk, xo):
         """All three branches with fusion between blocks; per-block features."""
         hs = {"v": xv, "k": xk, "o": xo}
@@ -469,8 +458,7 @@ class Model:
             if have > want:
                 raised = ndgrad.slice_rows(raised, 0, want)
             top = ndgrad.add(raised, lateral)
-            _, logp = self.spn_heads[modality][lvl](top)
-            streams.append(ProbStream(logp, log_space=True))
+            streams.append(self.spn_heads[modality][lvl](top)[1])
         return streams
 
     def recognize(self, sample) -> Recognition:
@@ -481,12 +469,8 @@ class Model:
         feats = self._branches_fused(xv, xk, xo)
 
         joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]], axis=1)
-        streams = {}
-        for key in ("v", "k", "o"):
-            _, logp = self.heads[key](feats[key][-1])
-            streams[key] = ProbStream(logp, log_space=True)
-        _, logp = self.heads["c"](joint)
-        streams["c"] = ProbStream(logp, log_space=True)
+        streams = {key: self.heads[key](feats[key][-1])[1] for key in ("v", "k", "o")}
+        streams["c"] = self.heads["c"](joint)[1]
         return Recognition(streams=streams, block_feats=feats, joint=joint)
 
     def forward(self, sample) -> ModelOutputs:
@@ -513,27 +497,37 @@ class Model:
         )
 
 
+def align_glosses(outputs: ModelOutputs, label_ids):
+    """Gloss-level alignment: (DTW path, its spans, visual-textual pair matrices).
+
+    The path comes from the joint head's probabilities, detached from the
+    tape, so gradient reaches the pooled features but not the path.
+    """
+    prob_c = np.exp(outputs.streams["c"].data)  # detached copy
+    path = align_mod.dtw_align(align_mod.extract_columns(prob_c, label_ids))
+    spans = align_mod.path_to_spans(path)
+    pooled_visual = align_mod.pool_visual(outputs.gloss_space_feats, spans)
+    pooled_text = align_mod.pool_tokens(outputs.text_token_feats, outputs.text.token_to_gloss)
+    return path, spans, contrast.pair_matrices(pooled_visual, pooled_text)
+
+
 def compute_losses(
     outputs: ModelOutputs,
     label_ids,
     weights: LossWeights,
     include_align: bool = True,
 ) -> LossTerms:
-    """Recognition + auxiliary + alignment losses, weighted into one scalar.
-
-    The alignment path comes from the joint head's probabilities, detached
-    from the tape, so gradient reaches the pooled features but not the path.
-    """
+    """Recognition + auxiliary + alignment losses, weighted into one scalar."""
     label_ids = list(label_ids)
 
     def summed_ctc(streams):
         # batch the recursion over streams sharing a shape
         groups = {}
-        for i, stream in enumerate(streams):
-            groups.setdefault(stream.probs.data.shape, []).append((i, stream.probs))
+        for logp in streams:
+            groups.setdefault(logp.data.shape, []).append(logp)
         total = None
         for group in groups.values():
-            for term in ctc_loss_group([p for _, p in group], label_ids):
+            for term in ctc_loss_group(group, label_ids):
                 total = term if total is None else ndgrad.add(total, term)
         return total
 
@@ -546,15 +540,7 @@ def compute_losses(
 
     g_val = s_val = 0.0
     if include_align and (weights.gloss_align != 0.0 or weights.sentence_align != 0.0):
-        prob_c = np.exp(outputs.streams["c"].probs.data)  # detached copy
-        cols = align_mod.extract_columns(prob_c, label_ids)
-        path = align_mod.dtw_align(cols)
-        spans = align_mod.path_to_spans(path)
-        pooled_visual = align_mod.pool_visual(outputs.gloss_space_feats, spans)
-        pooled_text = align_mod.pool_tokens(
-            outputs.text_token_feats, outputs.text.token_to_gloss
-        )
-        pairs = contrast.pair_matrices(pooled_visual, pooled_text)
+        _, _, pairs = align_glosses(outputs, label_ids)
         tgt = contrast.alignment_targets(label_ids)
         loss_g = contrast.gloss_align_loss(pairs, tgt)
 
@@ -574,9 +560,3 @@ def compute_losses(
         gloss_align=g_val,
         sentence_align=s_val,
     )
-
-
-def total_loss(outputs, label_ids, weights=None, include_align=True):
-    """Weighted training loss as a single scalar Array."""
-    weights = weights or LossWeights()
-    return compute_losses(outputs, label_ids, weights, include_align).total

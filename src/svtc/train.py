@@ -11,16 +11,16 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import align as align_mod
-from . import container, contrast, ndgrad, net, synthdata
+from . import container, ndgrad, net, synthdata
 from .ctc import (
     CtcInfeasibleError,
     GlossVocab,
+    ProbStream,
     average_streams,
     aggregate_reports,
     beam_decode,
@@ -170,9 +170,9 @@ def decode_sample(model: net.Model, sample, width: int = 5, head: str = "avg") -
     with ndgrad.no_grad():
         streams = model.recognize(sample).streams
     if head == "avg":
-        stream = average_streams([streams[k] for k in net.HEAD_KEYS])
+        stream = average_streams([ProbStream(streams[k], log_space=True) for k in net.HEAD_KEYS])
     else:
-        stream = streams[head]
+        stream = ProbStream(streams[head], log_space=True)
     return beam_decode(stream, width=width)
 
 
@@ -205,15 +205,22 @@ def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg=None, gen
         lo, hi = tcfg.crop_scale_range
         scale = float(rng.uniform(lo, hi))
         x_k = synthdata.materialize_keypoints(sample.points, hm_cfg, gen_seed, scale, rng)
-        sample = synthdata.Sample(
-            id=sample.id,
-            glosses=sample.glosses,
-            x_v=sample.x_v,
-            x_k=x_k,
-            x_o=sample.x_o,
-            points=sample.points,
-        )
+        sample = replace(sample, x_k=x_k)
     return sample
+
+
+def model_for_corpus(meta: dict, **overrides) -> net.Model:
+    """A model sized to a corpus's ``vocab.json``; ``overrides`` set ModelConfig fields."""
+    vocab = GlossVocab(tuple(meta["glosses"]))
+    gen_cfg = meta.get("config", {})
+    cfg_kwargs = {
+        "vocab_size": vocab.size,
+        "in_dim_v": gen_cfg.get("d_v_in", 16),
+        "in_dim_k": gen_cfg.get("d_k_in", 12),
+        "in_dim_o": gen_cfg.get("d_o_in", 16),
+        **overrides,
+    }
+    return net.Model(net.ModelConfig(**cfg_kwargs), vocab)
 
 
 def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None = None):
@@ -223,23 +230,15 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None =
     out_dir.mkdir(parents=True, exist_ok=True)
 
     meta = synthdata.load_meta(corpus_dir)
-    vocab = GlossVocab(tuple(meta["glosses"]))
     gen_cfg = meta.get("config", {})
     gen_seed = gen_cfg.get("seed", 0)
     hm_cfg = None
     if gen_cfg.get("use_heatmaps"):
         hm_cfg = synthdata.HeatmapConfig(**gen_cfg["heatmap"])
-    cfg_kwargs = {
-        "vocab_size": vocab.size,
-        "in_dim_v": gen_cfg.get("d_v_in", 16),
-        "in_dim_k": gen_cfg.get("d_k_in", 12),
-        "in_dim_o": gen_cfg.get("d_o_in", 16),
-        "fusion_kind": tcfg.fusion,
-        "seed": tcfg.seed,
-    }
-    if model_overrides:
-        cfg_kwargs.update(model_overrides)
-    model = net.Model(net.ModelConfig(**cfg_kwargs), vocab)
+    model = model_for_corpus(
+        meta, **{"fusion_kind": tcfg.fusion, "seed": tcfg.seed, **(model_overrides or {})}
+    )
+    vocab = model.vocab
 
     train_pairs = synthdata.load_split(corpus_dir, "train")
     dev_pairs = synthdata.load_split(corpus_dir, "dev")
@@ -347,17 +346,8 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
     for sample, rec in pairs:
         label_ids = model.vocab.ids(sample.glosses)
         with ndgrad.no_grad():
-            outputs = model.forward(sample)
-            prob_c = np.exp(outputs.streams["c"].probs.data)
-            cols = align_mod.extract_columns(prob_c, label_ids)
-            path = align_mod.dtw_align(cols)
-            spans = align_mod.path_to_spans(path)
-            pooled_v = align_mod.pool_visual(outputs.gloss_space_feats, spans)
-            pooled_t = align_mod.pool_tokens(
-                outputs.text_token_feats, outputs.text.token_to_gloss
-            )
-            sim = contrast.pair_matrices(pooled_v, pooled_t).v2t.data
-        matrices[sample.id] = sim
+            path, spans, pair_mats = net.align_glosses(model.forward(sample), label_ids)
+        matrices[sample.id] = pair_mats.v2t.data
         records.append(
             {
                 "id": sample.id,

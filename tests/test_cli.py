@@ -68,6 +68,13 @@ class TestGenDataCommand:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
 
+    def test_unknown_heatmap_key_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"use_heatmaps": True, "heatmap": {"bogus": 1}}))
+        assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
+        assert "error: unknown heatmap config keys: ['bogus']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainLoop:
     def test_metrics_log_schema_and_lr_schedule(self, tiny_run):
@@ -114,6 +121,64 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=5, align_warmup_epochs=5)
+
+
+class TestTrainConfigFile:
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started despite a bad config")
+
+        monkeypatch.setattr(train_mod, "train", must_not_run)
+
+    def run_with(self, tmp_path, config, corpus=None):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["train", "--corpus", str(corpus or tmp_path), "--out", str(tmp_path / "o")]
+        return main(argv + ["--config", str(cfg_path)])
+
+    def test_unknown_model_key_is_usage_error(self, tmp_path, capsys, no_training):
+        assert self.run_with(tmp_path, {"train": {}, "model": {"bogus": 1}}) == 1
+        assert "error: unknown model config keys: ['bogus']" in capsys.readouterr().err
+
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys, no_training):
+        assert self.run_with(tmp_path, [1, 2]) == 1
+        assert "error: unknown train config keys" in capsys.readouterr().err
+
+    def test_model_section_wins_over_fusion_and_seed(self, tiny_corpus, tmp_path):
+        config = {
+            "train": {"epochs": 1, "align_warmup_epochs": 0, "fusion": "attn", "seed": 4},
+            "model": {"fusion_kind": "none", "seed": 9, "d_v": 8},
+        }
+        assert self.run_with(tmp_path, config, tiny_corpus) == 0
+        sidecar = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
+        assert sidecar["model"]["fusion_kind"] == "none"
+        assert sidecar["model"]["seed"] == 9 and sidecar["model"]["d_v"] == 8
+
+
+class TestStreamBoundary:
+    def test_prob_streams_are_built_only_to_decode(self, tiny_corpus, monkeypatch):
+        from svtc.ctc import ProbStream
+
+        built = []
+        init = ProbStream.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProbStream, "__init__", counting_init)
+        model = train_mod.model_for_corpus(synthdata.load_meta(tiny_corpus), seed=2)
+        sample, _ = synthdata.load_split(tiny_corpus, "dev")[0]
+        ids = model.vocab.ids(sample.glosses)
+        terms = net.compute_losses(model.forward(sample), ids, net.LossWeights(), True)
+        ng.backward(terms.total)
+        assert len(built) == 0
+        train_mod.decode_sample(model, sample, head="avg")
+        assert len(built) == 5  # four heads plus their average
+        built.clear()
+        train_mod.decode_sample(model, sample, head="c")
+        assert len(built) == 1
 
 
 class TestCheckpoint:
@@ -210,7 +275,7 @@ class TestEvalAndDecode:
         assert agg.wer == total_edits / total_ref
 
     def test_evaluate_split_matches_forward_reference(self, tiny_corpus, tiny_run):
-        from svtc.ctc import aggregate_reports, average_streams, wer
+        from svtc.ctc import ProbStream, aggregate_reports, average_streams, wer
         from svtc.train import evaluate_split
 
         _, artifacts, tcfg = tiny_run
@@ -222,7 +287,9 @@ class TestEvalAndDecode:
         for sample, _ in pairs:
             with ng.no_grad():
                 out = model.forward(sample)
-            stream = average_streams([out.streams[k] for k in net.HEAD_KEYS])
+            stream = average_streams(
+                [ProbStream(out.streams[k], log_space=True) for k in net.HEAD_KEYS]
+            )
             hyp = reference_beam_decode(stream, tcfg.beam_width)
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
             want.append((sample.id, model.vocab.lookup_all(hyp)))
@@ -386,6 +453,19 @@ class TestExitCodes:
         argv = [command, "--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ck")]
         assert main(argv + ["--beam-width", width]) == 1
         assert f"--beam-width: must be >= 1, got {width}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_train_counts_below_one_fail_before_training(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"training started despite a bad {flag}")
+
+        monkeypatch.setattr(train_mod, "train", must_not_run)
+        argv = ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv + [flag, value]) == 1
+        assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["0", "-3", "two"])
     def test_bench_steps_below_one_is_usage_error(self, monkeypatch, capsys, steps):

@@ -81,3 +81,34 @@ def test_empty_container(tmp_path):
     path = tmp_path / "t.svt"
     save_tensors(path, {})
     assert load_tensors(path) == {}
+
+
+def _small_file(tmp_path):
+    path = tmp_path / "t.svt"
+    save_tensors(path, {"w": np.arange(3.0), "bé": np.ones((1, 2))})
+    return path, path.read_bytes()
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, raw = _small_file(tmp_path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ContainerError, match="trailing"):
+        load_tensors(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path, raw = _small_file(tmp_path)
+    corrupt = bytearray(raw)
+    corrupt[14] = 0xFF  # the first byte of the first name: never valid UTF-8
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(ContainerError, match="UTF-8"):
+        load_tensors(path)
+
+
+def test_truncation_at_every_offset_rejected(tmp_path):
+    path, raw = _small_file(tmp_path)
+    assert load_tensors(path)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ContainerError):
+            load_tensors(path)

@@ -170,10 +170,6 @@ class TestTransposedTemporalConv:
 
 
 class TestElementwise:
-    def test_relu_values(self):
-        out = ng.relu(Array([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
     def test_gelu_zero(self):
         assert ng.gelu(Array(0.0)).item() == 0.0
 
@@ -213,13 +209,6 @@ class TestElementwise:
         a = Array(np.ones((3, 4)), grad_tracked=True)
         b = Array(np.arange(4.0), grad_tracked=True)
         check_grads(lambda: ng.reduce_sum(ng.mul(ng.add(a, b), b)), [a, b])
-
-    def test_dispatcher(self):
-        np.testing.assert_array_equal(
-            ng.elementwise("add", Array([1.0]), Array([2.0])).data, [3.0]
-        )
-        with pytest.raises(ValueError):
-            ng.elementwise("div", Array([1.0]), Array([2.0]))
 
 
 class TestSoftmax:
@@ -288,12 +277,6 @@ class TestShapeOps:
         b = Array(rng.standard_normal((3, 4)), grad_tracked=True)
         w = Array(rng.standard_normal((3, 6)))
         check_grads(lambda: ng.reduce_sum(ng.mul(ng.concat([a, b], axis=1), w)), [a, b])
-
-    def test_take_columns_duplicates_accumulate(self):
-        rng = np.random.default_rng(11)
-        x = Array(rng.standard_normal((4, 5)), grad_tracked=True)
-        w = Array(rng.standard_normal((4, 3)))
-        check_grads(lambda: ng.reduce_sum(ng.mul(ng.take_columns(x, [2, 2, 4]), w)), [x])
 
     def test_slice_rows_gradient(self):
         rng = np.random.default_rng(12)
@@ -383,7 +366,7 @@ class TestBlanketGradientInvariant:
 
         cases = [
             lambda: ng.reduce_sum(ng.mul(ng.gelu(x), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.relu(x), proj)),
+            lambda: ng.reduce_sum(ng.mul(ng.sub(ng.neg(x), x), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.exp(ng.mul(x, 0.3)), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.log(ng.exp(x)), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.softmax(x, axis=1), proj)),
@@ -415,3 +398,13 @@ class TestDeterminism:
         a = Array(np.ones((2, 3)))
         assert a.size == 6 and a.shape == (2, 3)
         assert a.data.dtype == np.float64
+
+
+class TestPublicNames:
+    def test_all_resolves_and_star_import_works(self):
+        assert len(set(ng.__all__)) == len(ng.__all__)
+        for name in ng.__all__:
+            assert hasattr(ng, name), name
+        namespace = {}
+        exec("from svtc.ndgrad import *", namespace)
+        assert set(ng.__all__) <= set(namespace)

@@ -9,7 +9,7 @@ from svtc import ndgrad as ng
 from svtc import net
 from svtc.ctc import GlossVocab
 from svtc.ndgrad import Array
-from svtc.net import LossWeights, Model, ModelConfig, compute_losses, total_loss
+from svtc.net import LossWeights, Model, ModelConfig, compute_losses
 from svtc.synthdata import Sample
 
 VOCAB = GlossVocab(tuple(f"G{i:02d}" for i in range(1, 7)))
@@ -43,6 +43,13 @@ def make_sample(T=16, glosses=("G01", "G03", "G02"), seed=0, cfg=None):
     )
 
 
+def branches(model, T, fill=1.0):
+    """Fused per-block branch features for constant [T, in_dim] inputs."""
+    cfg = model.cfg
+    dims = (cfg.in_dim_v, cfg.in_dim_k, cfg.in_dim_o)
+    return model._branches_fused(*(Array(np.full((T, d), fill)) for d in dims))
+
+
 def stride_schedule_lengths(T, strides):
     lengths = []
     cur = T
@@ -70,26 +77,30 @@ class TestBranches:
     def test_final_time_length_is_quarter(self):
         model = Model(small_cfg(), VOCAB)
         for T in (4, 8, 12, 16):
-            feats = model.branch_forward(Array(np.ones((T, 3))), "v")
+            feats = branches(model, T)
             want = stride_schedule_lengths(T, model.cfg.temporal_strides)
-            assert [f.data.shape[0] for f in feats] == want
-            assert feats[-1].data.shape == (-(-T // 4), model.cfg.d_v)
+            for m in ("v", "k", "o"):
+                assert [f.data.shape[0] for f in feats[m]] == want
+                assert feats[m][-1].data.shape == (-(-T // 4), model.cfg.d_v)
 
     def test_zero_input_zero_bias_gives_zero(self):
-        model = Model(small_cfg(), VOCAB)
-        feats = model.branch_forward(Array(np.zeros((8, 3))), "v")
-        for f in feats:
-            np.testing.assert_array_equal(f.data, 0.0)  # conv bias starts at 0
+        for kind in ("mlp", "conv", "attn", "none"):
+            feats = branches(Model(small_cfg(fusion_kind=kind), VOCAB), 8, fill=0.0)
+            for m in ("v", "k", "o"):
+                for f in feats[m]:
+                    # conv biases and the last fusion layers start at 0
+                    np.testing.assert_array_equal(f.data, 0.0)
 
     def test_too_short_input_rejected(self):
         model = Model(small_cfg(), VOCAB)
         with pytest.raises(ValueError):
-            model.branch_forward(Array(np.ones((3, 3))), "v")
+            branches(model, 3)
 
     def test_keypoint_branch_has_own_input_width(self):
-        model = Model(small_cfg(), VOCAB)
-        feats = model.branch_forward(Array(np.ones((8, 2))), "k")
-        assert feats[-1].data.shape[1] == model.cfg.d_v
+        model = Model(small_cfg(in_dim_k=5), VOCAB)
+        feats = branches(model, 8)
+        assert feats["k"][0].data.shape[1] == model.cfg.d_v
+        assert model.blocks["k"][0].w.data.shape[1] == 5
 
 
 class TestFusion:
@@ -103,8 +114,8 @@ class TestFusion:
         out_p = plain.forward(sample)
         for key in net.HEAD_KEYS:
             assert (
-                out_f.streams[key].probs.data.tobytes()
-                == out_p.streams[key].probs.data.tobytes()
+                out_f.streams[key].data.tobytes()
+                == out_p.streams[key].data.tobytes()
             )
 
     @pytest.mark.parametrize("kind", ["mlp", "conv", "attn", "none"])
@@ -119,8 +130,7 @@ class TestFusion:
         full = model.forward(sample).streams
         assert list(rec) == list(full) == list(net.HEAD_KEYS)
         for key in net.HEAD_KEYS:
-            assert rec[key].log_space and full[key].log_space
-            assert rec[key].probs.data.tobytes() == full[key].probs.data.tobytes()
+            assert rec[key].data.tobytes() == full[key].data.tobytes()
 
     def test_mlp_symmetry_identical_inputs(self):
         model = Model(small_cfg(), VOCAB)
@@ -158,7 +168,7 @@ class TestHeads:
         model = Model(small_cfg(), VOCAB)
         out = model.forward(make_sample())
         for key in net.HEAD_KEYS:
-            rows = np.exp(out.streams[key].probs.data).sum(axis=1)
+            rows = np.exp(out.streams[key].data).sum(axis=1)
             np.testing.assert_allclose(rows, 1.0, atol=1e-9)
 
     def test_shapes(self):
@@ -172,14 +182,14 @@ class TestHeads:
     def test_parameter_isolation_between_heads(self):
         model = Model(small_cfg(), VOCAB)
         sample = make_sample()
-        before = {k: model.forward(sample).streams[k].probs.data.copy() for k in "vko"}
+        before = {k: model.forward(sample).streams[k].data.copy() for k in "vko"}
         for name, p in model.parameters().items():
             if name.startswith("head_v"):
                 p.data = p.data + 0.37
-        after_v = model.forward(sample).streams["v"].probs.data
+        after_v = model.forward(sample).streams["v"].data
         assert not np.array_equal(after_v, before["v"])
         for key in ("k", "o"):
-            after = model.forward(sample).streams[key].probs.data
+            after = model.forward(sample).streams[key].data
             assert after.tobytes() == before[key].tobytes()
 
 
@@ -199,7 +209,7 @@ class TestSpn:
 
     def test_upsample_matches_lateral_length(self):
         model = Model(small_cfg(), VOCAB)
-        feats = model.branch_forward(Array(np.random.default_rng(0).standard_normal((16, 3))), "v")
+        feats = branches(model, 16)["v"]
         raised = model.spn_ups["v"][0](feats[-1])
         assert raised.data.shape[0] == feats[-2].data.shape[0]
 
@@ -216,11 +226,11 @@ class TestSpn:
         out = model.forward(make_sample(T=14))
         assert len(out.spn_streams) == 6
         for s in out.spn_streams:
-            np.testing.assert_allclose(np.exp(s.probs.data).sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(np.exp(s.data).sum(axis=1), 1.0, atol=1e-9)
 
     def test_needs_enough_blocks(self):
         model = Model(small_cfg(), VOCAB)
-        feats = model.branch_forward(Array(np.ones((8, 3))), "v")
+        feats = branches(model, 8)["v"]
         with pytest.raises(ValueError):
             model.spn_forward("v", feats[:2])
 
@@ -350,7 +360,7 @@ class TestModelForward:
         model = Model(small_cfg(), VOCAB)
         out = model.forward(make_sample(T=15))
         for s in list(out.streams.values()) + out.spn_streams:
-            np.testing.assert_allclose(np.exp(s.probs.data).sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(np.exp(s.data).sum(axis=1), 1.0, atol=1e-9)
 
     def test_fixed_seed_bit_identical_init_and_step(self):
         from svtc.train import Adam
@@ -407,14 +417,6 @@ class TestTotalLoss:
             + 0.4 * terms.sentence_align
         )
         assert terms.total.item() == pytest.approx(hand, abs=1e-12)
-
-    def test_total_loss_wrapper(self):
-        model = Model(small_cfg(), VOCAB)
-        sample = make_sample()
-        ids = VOCAB.ids(sample.glosses)
-        out = model.forward(sample)
-        scalar = total_loss(out, ids)
-        assert scalar.data.shape == ()
 
     def test_warmup_excludes_alignment(self):
         model = Model(small_cfg(), VOCAB)
