@@ -163,60 +163,59 @@ def min_frames(labels) -> int:
     return len(labels) + repeats
 
 
-def _ctc_kernel(stack: np.ndarray, ext: np.ndarray, skip: np.ndarray):
-    """Forward-backward over a [B, T, C] stack sharing one label sequence.
+def _ctc_kernel(streams, ext: np.ndarray, skip: np.ndarray):
+    """Forward-backward over [T_b, C] log-prob streams sharing one label sequence.
 
-    Returns (log marginal [B], gradient stack [B, T, C] w.r.t. the log
-    probabilities).  Vectorized over the batch axis so a sample's head and
-    pyramid streams run through one recursion.
+    Returns (log marginals [B], per-stream gradients [T_b, C] w.r.t. the log
+    probabilities).  One recursion runs every stream's alpha rows and its beta
+    rows, the latter reversed in time and state so that they too start at
+    step 0; a shorter stream's rows run on over padding that is never read.
     """
-    B, T, C = stack.shape
-    S = ext.size
-    U = stack[:, :, ext]  # [B, T, S]
-    skip_tail = skip[2:]
+    B, S = len(streams), ext.size
+    lengths = [x.shape[0] for x in streams]
+    emit = np.zeros((2 * B, max(lengths), S))
+    for b, x in enumerate(streams):
+        U = x[:, ext]
+        emit[b, : lengths[b]] = U
+        emit[B + b, : lengths[b]] = U[::-1, ::-1]
+    # alpha hops s-2 -> s where skip[s]; beta hops s+2 -> s where skip[s+2]
+    hop = np.concatenate([np.tile(skip[2:], (B, 1)), np.tile(skip[:1:-1], (B, 1))])
 
-    alpha = np.full((B, T, S), _NEG_INF)
-    alpha[:, 0, 0] = U[:, 0, 0]
-    if S > 1:
-        alpha[:, 0, 1] = U[:, 0, 1]
-    for t in range(1, T):
-        prev = alpha[:, t - 1, :]
-        cur = alpha[:, t, :]
+    rec = np.full(emit.shape, _NEG_INF)
+    rec[:, 0, :2] = emit[:, 0, :2]
+    for t in range(1, emit.shape[1]):
+        prev = rec[:, t - 1, :]
+        cur = rec[:, t, :]
         cur[:, 0] = prev[:, 0]
         np.logaddexp(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
         if S > 2:
-            np.logaddexp(cur[:, 2:], prev[:, :-2], out=cur[:, 2:], where=skip_tail)
-        cur += U[:, t, :]
+            np.logaddexp(cur[:, 2:], prev[:, :-2], out=cur[:, 2:], where=hop)
+        cur += emit[:, t, :]
 
-    log_p = alpha[:, T - 1, S - 1]
-    if S > 1:
-        log_p = np.logaddexp(log_p, alpha[:, T - 1, S - 2])
-    if not np.all(np.isfinite(log_p)):
-        raise FloatingPointError("CTC marginal underflowed to zero probability")
-
-    beta = np.full((B, T, S), _NEG_INF)
-    beta[:, T - 1, S - 1] = U[:, T - 1, S - 1]
-    if S > 1:
-        beta[:, T - 1, S - 2] = U[:, T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[:, t + 1, :]
-        cur = beta[:, t, :]
-        cur[:, S - 1] = nxt[:, S - 1]
-        np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=cur[:, :-1])
-        if S > 2:
-            # state s hops to s+2 when the target state's skip flag allows
-            np.logaddexp(cur[:, :-2], nxt[:, 2:], out=cur[:, :-2], where=skip_tail)
-        cur += U[:, t, :]
-
-    # alpha and beta both include the frame emission: divide it out once.
-    gamma = alpha + beta
-    acc = np.full((B, T, C), _NEG_INF)
-    for s in range(S):
-        c = ext[s]
-        np.logaddexp(acc[:, :, c], gamma[:, :, s], out=acc[:, :, c])
-    with np.errstate(under="ignore"):
-        grad = -np.exp(acc - log_p[:, None, None] - stack)
-    return log_p, grad
+    # equal-length streams share the posterior arithmetic, in input order
+    log_p, grads, groups = np.empty(B), [None] * B, {}
+    for b, T in enumerate(lengths):
+        groups.setdefault(T, []).append(b)
+    for T, idx in groups.items():
+        alpha = rec[idx, :T]
+        beta = rec[[B + b for b in idx], T - 1 :: -1, ::-1]
+        lp = alpha[:, T - 1, S - 1]
+        if S > 1:
+            lp = np.logaddexp(lp, alpha[:, T - 1, S - 2])
+        if not np.all(np.isfinite(lp)):
+            raise FloatingPointError("CTC marginal underflowed to zero probability")
+        # alpha and beta both include the frame emission: divide it out once.
+        gamma = alpha + beta
+        stack = np.stack([streams[b] for b in idx])
+        acc = np.full(stack.shape, _NEG_INF)
+        for s in range(S):
+            c = ext[s]
+            np.logaddexp(acc[:, :, c], gamma[:, :, s], out=acc[:, :, c])
+        with np.errstate(under="ignore"):
+            grad = -np.exp(acc - lp[:, None, None] - stack)
+        for i, b in enumerate(idx):
+            log_p[b], grads[b] = lp[i], grad[i]
+    return log_p, grads
 
 
 def _prepare_labels(labels, T: int, C: int):
@@ -245,31 +244,25 @@ def ctc_loss(log_probs, labels) -> Array:
 
 
 def ctc_loss_group(log_prob_arrays, labels) -> list:
-    """:func:`ctc_loss` for several equal-shape streams of one sample at once.
+    """:func:`ctc_loss` for several streams of one sample at once.
 
-    The recursion is batched over the streams; returns one scalar Array per
-    input stream.
+    The streams share the class count and may differ in length; one batched
+    recursion runs them all.  Returns one scalar Array per input stream.
     """
     arrays = [a if isinstance(a, Array) else Array(a) for a in log_prob_arrays]
     if not arrays:
         return []
-    shape = arrays[0].data.shape
-    for a in arrays[1:]:
-        if a.data.shape != shape:
-            raise ValueError("grouped streams must share one shape")
-    if len(shape) != 2:
+    if any(a.data.ndim != 2 for a in arrays):
         raise ValueError("log_probs must be [T', C]")
-    T, C = shape
-    ext, skip = _prepare_labels(labels, T, C)
-    stack = np.stack([a.data for a in arrays], axis=0)
-    log_p, grad = _ctc_kernel(stack, ext, skip)
-    out = []
-    for i, a in enumerate(arrays):
-        gi = grad[i]
-        out.append(
-            ndgrad.custom_op(np.float64(-log_p[i]), (a,), lambda g, gi=gi: (g * gi,))
-        )
-    return out
+    C = arrays[0].data.shape[1]
+    if any(a.data.shape[1] != C for a in arrays):
+        raise ValueError("grouped streams must share the class count")
+    ext, skip = _prepare_labels(labels, min(a.data.shape[0] for a in arrays), C)
+    log_p, grads = _ctc_kernel([a.data for a in arrays], ext, skip)
+    return [
+        ndgrad.custom_op(np.float64(-lp), (a,), lambda g, gi=gi: (g * gi,))
+        for a, lp, gi in zip(arrays, log_p, grads)
+    ]
 
 
 def collapse(path) -> list:

@@ -105,13 +105,12 @@ def _scalar_checks(seed: int):
         return fwd, leaves
 
     def b_matmul(rng):
-        a, b = _leaf(rng, (3, 4)), _leaf(rng, (4, 2))
-        return with_weights(rng, lambda: ndgrad.matmul(a, b), [a, b])
+        a, b, c = _leaf(rng, (3, 4)), _leaf(rng, (4, 2)), _leaf(rng, (2,))
+        return with_weights(rng, lambda: ndgrad.matmul(a, b, bias=c), [a, b, c])
 
     def b_conv(rng):
-        x = _leaf(rng, (7, 3))
-        w = _leaf(rng, (3, 3, 2))
-        return with_weights(rng, lambda: ndgrad.temporal_conv(x, w, stride=2), [x, w])
+        x, w, c = _leaf(rng, (7, 3)), _leaf(rng, (3, 3, 2)), _leaf(rng, (2,))
+        return with_weights(rng, lambda: ndgrad.temporal_conv(x, w, 2, bias=c), [x, w, c])
 
     def b_tconv(rng):
         x = _leaf(rng, (4, 2))

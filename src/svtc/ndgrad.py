@@ -366,9 +366,8 @@ def gelu(a) -> Array:
     t += x
     t *= _GELU_SCALE
     np.tanh(t, out=t)
-    y = np.multiply(0.5, x, out=np.empty_like(x))  # 0.5 * x * (1 + t)
-    y *= 1.0 + t
-    out = Array(y)
+    half_x, one_t = 0.5 * x, 1.0 + t  # 0.5 * x * (1 + t); the gradient reuses both
+    out = Array(half_x * one_t)
     if _tracing(a):
 
         def grad_fn(g):
@@ -378,11 +377,11 @@ def gelu(a) -> Array:
             dinner *= x  # scale * (1 + 3c * x * x)
             dinner += 1.0
             dinner *= _GELU_SCALE
-            dx = np.multiply(0.5, x, out=np.empty_like(x))
-            dx *= sech2  # g * (0.5 * (1 + t) + 0.5 * x * sech2 * dinner)
+            dx = half_x * sech2  # g * (0.5 * (1 + t) + 0.5 * x * sech2 * dinner)
             dx *= dinner
-            dx += 0.5 * (1.0 + t)
-            return (g * dx,)
+            dx += 0.5 * one_t
+            dx *= g
+            return (dx,)
 
         _attach(out, (a,), grad_fn)
     return out
@@ -415,21 +414,27 @@ def exp(a) -> Array:
 # linear algebra and shape primitives
 
 
-def matmul(a, b) -> Array:
+def matmul(a, b, bias=None) -> Array:
+    """a @ b; a ``bias`` joins the same node, added to every output row."""
     a, b = _as_array(a), _as_array(b)
+    inputs = (a, b) if bias is None else (a, b, _as_array(bias))
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-    out = Array(ad @ bd)
-    if _tracing(a, b):
+    out_data = ad @ bd
+    if bias is not None:
+        out_data += inputs[2].data  # in place on the fresh product: its sum's bits
+    out = Array(out_data)
+    if _tracing(*inputs):
 
         def grad_fn(g):
             return (
                 g @ bd.T if _live(a) else None,
                 ad.T @ g if _live(b) else None,
+                _unbroadcast(g, inputs[2].data.shape) if bias is not None else None,
             )
 
-        _attach(out, (a, b), grad_fn)
+        _attach(out, inputs, grad_fn)
     return out
 
 
@@ -605,12 +610,14 @@ def _check_conv_args(T, k, stride):
         raise ValueError("kernel size must be odd")
 
 
-def temporal_conv(x, w, stride: int = 1) -> Array:
+def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
     """1-D convolution along time: x [T, Cin], w [k, Cin, Cout] -> [T', Cout].
 
-    Same-padding output length is ceil(T / stride), padded left-heavy.
+    Same-padding output length is ceil(T / stride), padded left-heavy.  A
+    ``bias`` [Cout] joins the same node, added to every output row.
     """
     x, w = _as_array(x), _as_array(w)
+    inputs = (x, w) if bias is None else (x, w, _as_array(bias))
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 3:
         raise ValueError("temporal_conv expects x [T,Cin] and w [k,Cin,Cout]")
@@ -622,13 +629,15 @@ def temporal_conv(x, w, stride: int = 1) -> Array:
     t_out, pad, pad_left = _conv_geometry(T, k, stride)
     xp = np.zeros((T + pad, cin))
     xp[pad_left : pad_left + T] = xd
-    win = np.empty((t_out, k, cin))
-    for j in range(k):
-        win[:, j, :] = xp[j : j + stride * t_out : stride]
-    win2 = win.reshape(t_out, k * cin)
+    # window t: the k*cin contiguous values from padded row t*stride on
+    windows = np.ndarray((t_out, k * cin), buffer=xp, strides=(stride * xp.strides[0], 8))
+    win2 = windows.copy()  # BLAS needs the contiguous copy
     wf = wd.reshape(k * cin, cout)
-    out = Array(win2 @ wf)
-    if _tracing(x, w):
+    out_data = win2 @ wf
+    if bias is not None:
+        out_data += inputs[2].data  # in place on the fresh product: its sum's bits
+    out = Array(out_data)
+    if _tracing(*inputs):
 
         def grad_fn(g):
             gx = None
@@ -641,9 +650,10 @@ def temporal_conv(x, w, stride: int = 1) -> Array:
                 for j in range(k):
                     gxp[j : j + stride * t_out : stride] += gwin[:, j, :]
                 gx = gxp[pad_left : pad_left + T]
-            return (gx, gw)
+            gb = _unbroadcast(g, inputs[2].data.shape) if bias is not None else None
+            return (gx, gw, gb)
 
-        _attach(out, (x, w), grad_fn)
+        _attach(out, inputs, grad_fn)
     return out
 
 

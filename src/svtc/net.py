@@ -147,7 +147,7 @@ class Linear:
         self.b = store.new(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Array) -> Array:
-        return ndgrad.add(ndgrad.matmul(x, self.w), self.b)
+        return ndgrad.matmul(x, self.w, bias=self.b)
 
 
 class TemporalConv:
@@ -161,7 +161,7 @@ class TemporalConv:
         self.stride = stride
 
     def __call__(self, x: Array) -> Array:
-        return ndgrad.add(ndgrad.temporal_conv(x, self.w, stride=self.stride), self.b)
+        return ndgrad.temporal_conv(x, self.w, stride=self.stride, bias=self.b)
 
 
 class TemporalUpsample:
@@ -521,14 +521,13 @@ def compute_losses(
     label_ids = list(label_ids)
 
     def summed_ctc(streams):
-        # batch the recursion over streams sharing a shape
+        # one recursion for all streams; the terms sum shape group by shape group
         groups = {}
         for logp in streams:
             groups.setdefault(logp.data.shape, []).append(logp)
         total = None
-        for group in groups.values():
-            for term in ctc_loss_group(group, label_ids):
-                total = term if total is None else ndgrad.add(total, term)
+        for term in ctc_loss_group([a for g in groups.values() for a in g], label_ids):
+            total = term if total is None else ndgrad.add(total, term)
         return total
 
     terms_ctc = summed_ctc([outputs.streams[k] for k in HEAD_KEYS])

@@ -116,13 +116,23 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
+            # in place, in the operation order of the expressions noted alongside
             g = p.grad * grad_scale
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            m += (1.0 - b1) * g
+            g *= g  # v = b2 * v + (1 - b2) * (g * g)
+            g *= 1.0 - b2
+            v *= b2
+            v += g
+            update = m / bc1  # (m / bc1) / (sqrt(v / bc2) + eps)
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            update /= denom
             if weight_decay:
-                update = update + weight_decay * p.data
-            p.data = p.data - lr * update
+                update += weight_decay * p.data
+            update *= lr
+            p.data = p.data - update
 
     def zero_grad(self):
         for p in self.params.values():

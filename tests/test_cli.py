@@ -519,6 +519,26 @@ class TestAdam:
         assert not np.array_equal(a.data, np.ones(3))
         np.testing.assert_array_equal(b.data, before)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_bitwise_equals_textbook_expressions(self, weight_decay):
+        # the in-place step must keep every rounding of the update formulas
+        rng = np.random.default_rng(23)
+        p = Array(rng.standard_normal((4, 3)), grad_tracked=True)
+        opt = Adam({"p": p})
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        w, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for t in range(1, 6):
+            p.grad = rng.standard_normal((4, 3))
+            g = p.grad * 0.125
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            if weight_decay:
+                update = update + weight_decay * w
+            w = w - 0.01 * update
+            opt.step(0.01, weight_decay, grad_scale=0.125)
+            assert p.data.tobytes() == w.tobytes()
+
     def test_cosine_schedule_endpoints(self):
         assert cosine_lr(0, 60, 1e-3) == 1e-3
         assert cosine_lr(30, 60, 1e-3) == pytest.approx(5e-4)

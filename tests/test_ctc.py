@@ -60,6 +60,37 @@ def oracle_levenshtein(a, b):
     return prev[-1]
 
 
+def two_pass_ctc(logp, labels):
+    """(loss, gradient) of one [T, C] stream: an alpha pass, then a beta pass."""
+    ext = ctc.expand_with_blanks(labels)
+    S, (T, C) = ext.size, logp.shape
+    skip = np.zeros(S, dtype=bool)
+    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    U = logp[:, ext]
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, :2] = U[0, :2]
+    for t in range(1, T):
+        alpha[t, 0] = alpha[t - 1, 0]
+        np.logaddexp(alpha[t - 1, 1:], alpha[t - 1, :-1], out=alpha[t, 1:])
+        np.logaddexp(alpha[t, 2:], alpha[t - 1, :-2], out=alpha[t, 2:], where=skip[2:])
+        alpha[t] += U[t]
+    beta = np.full((T, S), -np.inf)
+    beta[T - 1, S - 2 :] = U[T - 1, S - 2 :]
+    for t in range(T - 2, -1, -1):
+        beta[t, S - 1] = beta[t + 1, S - 1]
+        np.logaddexp(beta[t + 1, :-1], beta[t + 1, 1:], out=beta[t, :-1])
+        np.logaddexp(beta[t, :-2], beta[t + 1, 2:], out=beta[t, :-2], where=skip[2:])
+        beta[t] += U[t]
+    log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+    gamma = alpha + beta
+    acc = np.full((1, T, C), -np.inf)
+    for s in range(S):
+        np.logaddexp(acc[:, :, ext[s]], gamma[None, :, s], out=acc[:, :, ext[s]])
+    with np.errstate(under="ignore"):
+        grad = -np.exp(acc - log_p - logp[None])
+    return -log_p, grad[0]
+
+
 def random_stream(rng, T, C, sharp=1.0):
     logits = sharp * rng.standard_normal((T, C))
     P = np.exp(logits)
@@ -188,6 +219,20 @@ class TestCtcLoss:
             assert got_rev == pytest.approx(rev, abs=1e-9)
             found += 1
         assert found >= 10
+
+    @pytest.mark.parametrize("labels", [[2], [2, 1, 1], [1, 3, 2, 3], [3, 3, 3]])
+    def test_mixed_length_group_bitwise_equals_two_pass_recursion(self, labels):
+        # the joint alpha/reversed-beta recursion over streams of different
+        # lengths must give the bytes of separate alpha and beta passes
+        rng = np.random.default_rng(41)
+        lengths = [7, 12, 7, 9, 12]
+        arrays = [Array(np.log(random_stream(rng, T, 4)), grad_tracked=True) for T in lengths]
+        terms = ctc_loss_group(arrays, labels)
+        ng.backward(ng.add(ng.add(ng.add(ng.add(terms[0], terms[1]), terms[2]), terms[3]), terms[4]))
+        for a, term in zip(arrays, terms):
+            want_loss, want_grad = two_pass_ctc(a.data, labels)
+            assert term.data.tobytes() == np.float64(want_loss).tobytes()
+            assert a.grad.tobytes() == want_grad.tobytes()
 
     def test_group_matches_individual(self):
         rng = np.random.default_rng(13)

@@ -80,6 +80,24 @@ class TestMatmul:
         check_grads(lambda: ng.reduce_sum(ng.mul(ng.matmul(a, b), w)), [a, b])
 
 
+@pytest.mark.parametrize("op", ["matmul", "temporal_conv"])
+def test_fused_bias_bitwise_equals_separate_add(op):
+    # the bias joined to the product's node must keep the bytes of a
+    # separate add node, forward and in every leaf gradient
+    rng = np.random.default_rng(37)
+    x0 = rng.standard_normal((9, 6))
+    w0 = rng.standard_normal((6, 4) if op == "matmul" else (3, 6, 4))
+    b0, g = rng.standard_normal(4), Array(rng.standard_normal((9, 4)))
+    results = []
+    for fused in (True, False):
+        x, w, b = (Array(v, grad_tracked=True) for v in (x0, w0, b0))
+        product = getattr(ng, op)
+        y = product(x, w, bias=b) if fused else ng.add(product(x, w), b)
+        ng.backward(ng.reduce_sum(ng.mul(ng.gelu(y), g)))
+        results.append([y.data.tobytes()] + [a.grad.tobytes() for a in (x, w, b)])
+    assert results[0] == results[1]
+
+
 class TestTemporalConv:
     def test_delta_kernel_identity(self):
         x = Array([[1.0], [2.0], [3.0]])
@@ -118,6 +136,26 @@ class TestTemporalConv:
                     for co in range(cout):
                         want[t, co] += xp[t * stride + j, ci] * w[j, ci, co]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_bitwise_equals_window_matrix_product(self, k, stride):
+        # the strided window view must give the bytes of an explicitly
+        # assembled [t_out, k * cin] window matrix times the flat kernel
+        rng = np.random.default_rng(31)
+        for T in (1, 2, 4, 7, 14, 55):
+            for cin in (1, 12, 64):
+                x = rng.standard_normal((T, cin))
+                w = rng.standard_normal((k, cin, 5))
+                t_out = -(-T // stride)
+                pad = max((t_out - 1) * stride + k - T, 0)
+                pl = (pad + 1) // 2
+                xp = np.zeros((T + pad, cin))
+                xp[pl : pl + T] = x
+                win = np.stack([xp[t * stride : t * stride + k].ravel() for t in range(t_out)])
+                want = win @ w.reshape(k * cin, 5)
+                got = ng.temporal_conv(Array(x), Array(w), stride=stride).data
+                assert got.tobytes() == want.tobytes(), (T, cin)
 
     def test_gradient_sum_of_output(self):
         rng = np.random.default_rng(3)
