@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndgrad
-from .ctc import ProbStream, validate_labels
+from .ctc import validate_labels
 from .ndgrad import Array
 
 # row-stochastic inputs can contain exact zeros early in training
@@ -27,10 +27,6 @@ class AlignmentPath:
 
     assignment: list
     log_score: float
-
-    @property
-    def n_glosses(self) -> int:
-        return self.assignment[-1] + 1
 
     def validate(self) -> None:
         a = self.assignment
@@ -68,16 +64,13 @@ class SegmentSpans:
             raise ValueError("spans must cover the full frame range")
 
 
-def extract_columns(stream, labels) -> np.ndarray:
-    """Gloss-probability columns for the labeled sequence: [T', N].
+def extract_columns(probs, labels) -> np.ndarray:
+    """Gloss-probability columns of a [T', C] matrix for the labels: [T', N].
 
     Duplicate labels yield duplicate columns.  Columns are taken as-is; no
     renormalization after dropping the blank and unlabeled columns.
     """
-    if isinstance(stream, ProbStream):
-        mat = stream.prob_matrix()
-    else:
-        mat = np.asarray(stream.data if isinstance(stream, Array) else stream, dtype=np.float64)
+    mat = np.asarray(probs, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a [T', C] probability matrix")
     idx = validate_labels(labels, mat.shape[1])
@@ -93,7 +86,7 @@ def dtw_align(M) -> AlignmentPath:
     ties the advance (down-right move) happens as early as possible, so
     later glosses keep the longer segments.
     """
-    m = M.data if isinstance(M, Array) else np.asarray(M, dtype=np.float64)
+    m = np.asarray(M, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("alignment matrix must be 2-D")
     T, N = m.shape

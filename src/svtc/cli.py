@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
 
 
 def _train_config(args, raw) -> TrainConfig:
-    data = raw.get("train", raw) if isinstance(raw, dict) else raw
+    sectioned = isinstance(raw, dict) and ("train" in raw or "model" in raw)
+    data = raw.get("train", {}) if sectioned else raw
     tcfg = _dataclass_from(TrainConfig, data, "train")
     override_map = {
         "epochs": args.epochs,

@@ -43,7 +43,8 @@ def load_tensors(path) -> dict:
     """Read a container back into {name: float64 ndarray} (file order).
 
     Every malformed file raises :class:`ContainerError`: bad magic or version,
-    truncation anywhere, a name that is not UTF-8, or bytes past the last tensor.
+    truncation anywhere, a name that is not UTF-8 or repeats an earlier one,
+    or bytes past the last tensor.
     """
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
@@ -75,6 +76,8 @@ def load_tensors(path) -> dict:
             off += 1
             if tag != DTYPE_F64:
                 raise ContainerError(f"unsupported dtype tag {tag} for {name!r}")
+            if name in out:
+                raise ContainerError(f"duplicate tensor name {name!r} in {path}")
             n = 1
             for s in shape:
                 n *= s

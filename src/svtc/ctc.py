@@ -46,10 +46,6 @@ class GlossVocab:
         """Class count including blank."""
         return len(self.glosses) + 1
 
-    @property
-    def blank_index(self) -> int:
-        return BLANK
-
     def id(self, gloss: str) -> int:
         try:
             return self.glosses.index(gloss) + 1
@@ -87,10 +83,6 @@ class ProbStream:
             raise ValueError("ProbStream rows must sum to 1 within 1e-9")
         self.probs = probs
         self.log_space = log_space
-
-    @property
-    def shape(self):
-        return self.probs.data.shape
 
     def prob_matrix(self) -> np.ndarray:
         m = self.probs.data

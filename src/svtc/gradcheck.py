@@ -113,10 +113,10 @@ def _scalar_checks(seed: int):
         return with_weights(rng, lambda: ndgrad.temporal_conv(x, w, 2, bias=c), [x, w, c])
 
     def b_tconv(rng):
-        x = _leaf(rng, (4, 2))
-        w = _leaf(rng, (3, 3, 2))
+        # length 7, not 4 * 2: the odd-length geometry of an odd pyramid lateral
+        x, w, c = _leaf(rng, (4, 2)), _leaf(rng, (3, 3, 2)), _leaf(rng, (3,))
         return with_weights(
-            rng, lambda: ndgrad.transposed_temporal_conv(x, w, stride=2), [x, w]
+            rng, lambda: ndgrad.transposed_temporal_conv(x, w, 7, stride=2, bias=c), [x, w, c]
         )
 
     def b_gelu(rng):
@@ -127,7 +127,7 @@ def _scalar_checks(seed: int):
         a, b = _leaf(rng, (4, 3)), _leaf(rng, (4, 3))
         return with_weights(
             rng,
-            lambda: ndgrad.mul(ndgrad.sub(a, ndgrad.neg(b)), ndgrad.exp(ndgrad.mul(a, 0.1))),
+            lambda: ndgrad.mul(ndgrad.add(a, ndgrad.neg(b)), ndgrad.add(ndgrad.mul(a, b), 0.5)),
             [a, b],
         )
 

@@ -4,12 +4,12 @@ Every primitive applied to a gradient-tracked input records a node carrying
 the inputs and a gradient closure.  ``backward`` linearizes the nodes
 reachable from a scalar loss into a :class:`Tape` (execution order) and
 replays it in exact reverse order, so an identical op sequence always yields
-bit-identical forward values and gradients.
+bit-identical forward values and gradients.  It returns nothing: each
+leaf's gradient accumulates into its ``.grad``.
 
 Numerical policy: everything is float64.  Operations never mutate their
-inputs.  ``log`` rejects nonpositive inputs and ``exp`` rejects overflow to
-keep NaN/inf out of the graph; ``softmax``/``log_softmax`` are computed with
-max-subtraction and cannot overflow on finite input.
+inputs.  ``softmax``/``log_softmax`` are computed with max-subtraction and
+cannot overflow on finite input.
 """
 
 from __future__ import annotations
@@ -28,20 +28,15 @@ __all__ = [
     "backward",
     "custom_op",
     "add",
-    "sub",
     "neg",
     "mul",
     "gelu",
-    "log",
-    "exp",
     "matmul",
     "transpose",
     "concat",
-    "slice_rows",
     "softmax",
     "log_softmax",
     "reduce_sum",
-    "reduce_mean",
     "pool_spans",
     "temporal_conv",
     "transposed_temporal_conv",
@@ -100,64 +95,12 @@ class Array:
         self._node = None
         self._back_done = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Array":
-        """Constant copy of this array: shares data, severs the tape."""
-        return Array(self.data)
-
-    def backward(self):
-        return backward(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         tag = ", leaf" if self.grad_tracked else ""
         return f"Array(shape={self.data.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Array):
-            raise TypeError("division only supported by python scalars")
-        return mul(self, 1.0 / other)
 
 
 def _as_array(x) -> Array:
@@ -233,7 +176,7 @@ class Tape:
         entries.sort(key=lambda e: e[1].seq)
         return cls(entries, leaves)
 
-    def run_backward(self, out: Array) -> dict:
+    def run_backward(self, out: Array) -> None:
         grads = {out: np.ones((), dtype=np.float64)}
         for a, n in reversed(self.entries):
             g = grads.pop(a, None)
@@ -244,7 +187,6 @@ class Tape:
                     continue
                 prev = grads.get(inp)
                 grads[inp] = gi if prev is None else prev + gi
-        result = {}
         for leaf in self.leaves:
             g = grads.get(leaf)
             if g is None:
@@ -254,14 +196,12 @@ class Tape:
                 if g.shape != leaf.data.shape:
                     g = np.broadcast_to(g, leaf.data.shape).copy()
             leaf.grad = g if leaf.grad is None else leaf.grad + g
-            result[leaf] = g
-        return result
 
 
-def backward(loss: Array) -> dict:
-    """Reverse sweep from a scalar loss; returns {leaf: gradient}.
+def backward(loss: Array) -> None:
+    """Reverse sweep from a scalar loss; returns nothing.
 
-    Gradients also accumulate into each leaf's ``.grad`` (reset by assigning
+    Gradients accumulate into each leaf's ``.grad`` (reset by assigning
     None), so per-sample losses in a batch can share leaves.  Calling
     backward twice on the same loss is an error.
     """
@@ -274,7 +214,7 @@ def backward(loss: Array) -> dict:
     if loss._back_done:
         raise RuntimeError("backward already ran for this loss; rebuild the graph")
     loss._back_done = True
-    return Tape.trace(loss).run_backward(loss)
+    Tape.trace(loss).run_backward(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +247,6 @@ def add(a, b) -> Array:
             return (
                 _unbroadcast(g, ash) if _live(a) else None,
                 _unbroadcast(g, bsh) if _live(b) else None,
-            )
-
-        _attach(out, (a, b), grad_fn)
-    return out
-
-
-def sub(a, b) -> Array:
-    a, b = _as_array(a), _as_array(b)
-    out = Array(a.data - b.data)
-    if _tracing(a, b):
-        ash, bsh = a.data.shape, b.data.shape
-
-        def grad_fn(g):
-            return (
-                _unbroadcast(g, ash) if _live(a) else None,
-                _unbroadcast(-g, bsh) if _live(b) else None,
             )
 
         _attach(out, (a, b), grad_fn)
@@ -387,29 +311,6 @@ def gelu(a) -> Array:
     return out
 
 
-def log(a) -> Array:
-    a = _as_array(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log of nonpositive value")
-    out = Array(np.log(a.data))
-    if _tracing(a):
-        ad = a.data
-        _attach(out, (a,), lambda g: (g / ad,))
-    return out
-
-
-def exp(a) -> Array:
-    a = _as_array(a)
-    with np.errstate(over="ignore"):
-        val = np.exp(a.data)
-    if not np.all(np.isfinite(val)):
-        raise FloatingPointError("exp overflowed to a non-finite value")
-    out = Array(val)
-    if _tracing(a):
-        _attach(out, (a,), lambda g: (g * val,))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape primitives
 
@@ -465,25 +366,6 @@ def concat(arrays, axis: int = 0) -> Array:
     return out
 
 
-def slice_rows(a, start: int, stop: int) -> Array:
-    """Keep rows [start, stop); gradient zero-pads the removed rows."""
-    a = _as_array(a)
-    T = a.data.shape[0]
-    if not (0 <= start < stop <= T):
-        raise ValueError(f"row slice [{start},{stop}) out of range for length {T}")
-    out = Array(a.data[start:stop])
-    if _tracing(a):
-        shape = a.data.shape
-
-        def grad_fn(g):
-            gx = np.zeros(shape)
-            gx[start:stop] = g
-            return (gx,)
-
-        _attach(out, (a,), grad_fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions, softmax, pooling
 
@@ -502,15 +384,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Array:
 
         _attach(out, (a,), grad_fn)
     return out
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Array:
-    a = _as_array(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def softmax(a, axis: int = -1) -> Array:
@@ -657,13 +530,17 @@ def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
     return out
 
 
-def transposed_temporal_conv(x, w, stride: int = 1) -> Array:
-    """Exact adjoint of same-padded ``temporal_conv`` with identical w/stride.
+def transposed_temporal_conv(x, w, length: int, stride: int = 1, bias=None) -> Array:
+    """Exact adjoint of same-padded ``temporal_conv`` over ``length`` input rows.
 
-    Maps x [T, Cout] to [T*stride, Cin] for w [k, Cin, Cout], so that
-    <transposed_temporal_conv(x), y> == <x, temporal_conv(y)> for any y.
+    Maps x [T, Cout] to [length, Cin] for w [k, Cin, Cout], where T must equal
+    ceil(length / stride), so that
+    <transposed_temporal_conv(x, w, len(y)), y> == <x, temporal_conv(y, w)>
+    for any y with the same w and stride.  A ``bias`` [Cin] joins the same
+    node, added to every output row.
     """
     x, w = _as_array(x), _as_array(w)
+    inputs = (x, w) if bias is None else (x, w, _as_array(bias))
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 3:
         raise ValueError("transposed_temporal_conv expects x [T,Cout] and w [k,Cin,Cout]")
@@ -671,18 +548,24 @@ def transposed_temporal_conv(x, w, stride: int = 1) -> Array:
     k, cin, cout = wd.shape
     if xcout != cout:
         raise ValueError(f"channel mismatch: input {xcout}, weight {cout}")
-    _check_conv_args(T, k, stride)
-    t_out = T * stride
-    _, pad, pad_left = _conv_geometry(t_out, k, stride)
-    vp = np.zeros((t_out + pad, cin))
+    _check_conv_args(length, k, stride)
+    t_in, pad, pad_left = _conv_geometry(length, k, stride)
+    if T != t_in:
+        raise ValueError(
+            f"{T} input rows do not fit length {length} at stride {stride} (need {t_in})"
+        )
+    vp = np.zeros((length + pad, cin))
     for j in range(k):
         vp[j : j + stride * T : stride] += xd @ wd[j].T
-    out = Array(vp[pad_left : pad_left + t_out])
-    if _tracing(x, w):
+    out_data = vp[pad_left : pad_left + length]
+    if bias is not None:
+        out_data += inputs[2].data  # in place on the fresh result: its sum's bits
+    out = Array(out_data)
+    if _tracing(*inputs):
 
         def grad_fn(g):
-            gp = np.zeros((t_out + pad, cin))
-            gp[pad_left : pad_left + t_out] = g
+            gp = np.zeros((length + pad, cin))
+            gp[pad_left : pad_left + length] = g
             gx = None
             gw = None
             if _live(x):
@@ -693,7 +576,8 @@ def transposed_temporal_conv(x, w, stride: int = 1) -> Array:
                 gw = np.empty_like(wd)
                 for j in range(k):
                     gw[j] = gp[j : j + stride * T : stride].T @ xd
-            return (gx, gw)
+            gb = _unbroadcast(g, inputs[2].data.shape) if bias is not None else None
+            return (gx, gw, gb)
 
-        _attach(out, (x, w), grad_fn)
+        _attach(out, inputs, grad_fn)
     return out

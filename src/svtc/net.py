@@ -165,7 +165,12 @@ class TemporalConv:
 
 
 class TemporalUpsample:
-    """Transposed temporal conv with square channels (pyramid pathway)."""
+    """Transposed temporal conv with square channels (pyramid pathway).
+
+    Lifts [T, d] features onto ``length`` rows, the exact adjoint of a
+    same-padded stride-``stride`` conv over ``length`` rows, so T must be
+    ceil(length / stride).
+    """
 
     def __init__(self, store, rng, name, d, kernel=3, stride=1):
         w = rng.normal(0.0, math.sqrt(2.0 / (kernel * d + d)), (kernel, d, d))
@@ -173,9 +178,9 @@ class TemporalUpsample:
         self.b = store.new(f"{name}.b", np.zeros(d))
         self.stride = stride
 
-    def __call__(self, x: Array) -> Array:
-        return ndgrad.add(
-            ndgrad.transposed_temporal_conv(x, self.w, stride=self.stride), self.b
+    def __call__(self, x: Array, length: int) -> Array:
+        return ndgrad.transposed_temporal_conv(
+            x, self.w, length, stride=self.stride, bias=self.b
         )
 
 
@@ -208,11 +213,11 @@ class TemporalHead:
         self.conv2 = TemporalConv(store, rng, f"{name}.conv2", d_hidden, d_hidden)
         self.cls = Linear(store, rng, f"{name}.cls", d_hidden, n_classes)
 
-    def __call__(self, x: Array):
+    def __call__(self, x: Array) -> Array:
         h = ndgrad.gelu(self.lin(x))
         h = ndgrad.gelu(self.conv1(h))
         h = ndgrad.gelu(self.conv2(h))
-        return h, ndgrad.log_softmax(self.cls(h), axis=1)
+        return ndgrad.log_softmax(self.cls(h), axis=1)
 
 
 class MlpFusion:
@@ -298,12 +303,6 @@ class FrozenTextEncoder:
         mix_rng = np.random.default_rng((seed, _TEXT_NS, _digest64("mixer")))
         self.mix_w = mix_rng.normal(0.0, math.sqrt(1.0 / d_t), (d_t, d_t))
         self.mix_b = mix_rng.normal(0.0, 0.1, d_t)
-
-    def state_bytes(self) -> bytes:
-        chunks = [self._embeddings[k].tobytes() for k in sorted(self._embeddings)]
-        chunks.append(self.mix_w.tobytes())
-        chunks.append(self.mix_b.tobytes())
-        return b"".join(chunks)
 
     def encode(self, glosses) -> TextFeatures:
         rows = []
@@ -438,8 +437,8 @@ class Model:
         """Auxiliary log-prob streams from the top-down pyramid of one branch.
 
         Each level lifts the running top feature with a transposed conv onto
-        the next shallower block (cropping the ceil-padding surplus), adds
-        the lateral element-wise and classifies with its own temporal head.
+        the length of the next shallower block, adds that lateral
+        element-wise and classifies with its own temporal head.
         """
         if len(block_feats) < self.cfg.spn_levels + 1:
             raise ValueError("pyramid needs spn_levels + 1 block outputs")
@@ -447,18 +446,9 @@ class Model:
         top = block_feats[-1]
         for lvl in range(self.cfg.spn_levels):
             lateral = block_feats[-(lvl + 2)]
-            up = self.spn_ups[modality][lvl]
-            raised = up(top)
-            want = lateral.data.shape[0]
-            have = raised.data.shape[0]
-            if have < want or have >= want + up.stride:
-                raise ValueError(
-                    f"temporal mismatch after upsampling: {have} vs lateral {want}"
-                )
-            if have > want:
-                raised = ndgrad.slice_rows(raised, 0, want)
+            raised = self.spn_ups[modality][lvl](top, lateral.data.shape[0])
             top = ndgrad.add(raised, lateral)
-            streams.append(self.spn_heads[modality][lvl](top)[1])
+            streams.append(self.spn_heads[modality][lvl](top))
         return streams
 
     def recognize(self, sample) -> Recognition:
@@ -469,8 +459,8 @@ class Model:
         feats = self._branches_fused(xv, xk, xo)
 
         joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]], axis=1)
-        streams = {key: self.heads[key](feats[key][-1])[1] for key in ("v", "k", "o")}
-        streams["c"] = self.heads["c"](joint)[1]
+        streams = {key: self.heads[key](feats[key][-1]) for key in ("v", "k", "o")}
+        streams["c"] = self.heads["c"](joint)
         return Recognition(streams=streams, block_feats=feats, joint=joint)
 
     def forward(self, sample) -> ModelOutputs:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,11 +132,11 @@ class TestTrainConfigFile:
 
         monkeypatch.setattr(train_mod, "train", must_not_run)
 
-    def run_with(self, tmp_path, config, corpus=None):
+    def run_with(self, tmp_path, config, corpus=None, extra=()):
         cfg_path = tmp_path / "train.json"
         cfg_path.write_text(json.dumps(config))
         argv = ["train", "--corpus", str(corpus or tmp_path), "--out", str(tmp_path / "o")]
-        return main(argv + ["--config", str(cfg_path)])
+        return main(argv + ["--config", str(cfg_path), *extra])
 
     def test_unknown_model_key_is_usage_error(self, tmp_path, capsys, no_training):
         assert self.run_with(tmp_path, {"train": {}, "model": {"bogus": 1}}) == 1
@@ -154,6 +155,23 @@ class TestTrainConfigFile:
         sidecar = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
         assert sidecar["model"]["fusion_kind"] == "none"
         assert sidecar["model"]["seed"] == 9 and sidecar["model"]["d_v"] == 8
+
+    def test_model_only_config_trains(self, tiny_corpus, tmp_path):
+        extra = ["--epochs", "1", "--align-warmup", "0"]
+        assert self.run_with(tmp_path, {"model": {"d_v": 8}}, tiny_corpus, extra) == 0
+        sidecar = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
+        assert sidecar["model"]["d_v"] == 8
+
+    def test_flat_config_is_read_as_train_fields(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(corpus, out, tcfg, model_overrides):
+            seen.append(tcfg)
+            return SimpleNamespace(best_dev_wer=0.0, checkpoint_path=out)
+
+        monkeypatch.setattr(train_mod, "train", record)
+        assert self.run_with(tmp_path, {"epochs": 3, "align_warmup_epochs": 1, "seed": 4}) == 0
+        assert (seen[0].epochs, seen[0].seed) == (3, 4)
 
 
 class TestStreamBoundary:
@@ -404,6 +422,26 @@ class TestGradcheckCommand:
         assert rc == 0
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 10
+
+    def test_suite_calls_every_differentiable_primitive(self, monkeypatch):
+        infrastructure = {"Array", "Tape", "no_grad", "backward", "custom_op"}
+        names = [
+            n for n in ng.__all__ if n not in infrastructure and callable(getattr(ng, n))
+        ]
+        called = set()
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(ng, name, counting(name, getattr(ng, name)))
+        results = gradcheck.run_suite(include_model=False)
+        assert all(r.passed for r in results)
+        assert sorted(set(names) - called) == []
 
     def test_injected_wrong_gradient_is_caught(self):
         # mutant primitive: forward x*x but gradient claims 3x

@@ -112,3 +112,14 @@ def test_truncation_at_every_offset_rejected(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(ContainerError):
             load_tensors(path)
+
+
+def test_duplicate_name_rejected(tmp_path):
+    # a hand-built 2-tensor file whose records are both named "a"
+    record = struct.pack("<H", 1) + b"a" + struct.pack("<BQB", 1, 1, 0)
+    raw = b"SVTC" + struct.pack("<II", 1, 2)
+    raw += record + struct.pack("<d", 1.0) + record + struct.pack("<d", 2.0)
+    path = tmp_path / "dup.svt"
+    path.write_bytes(raw)
+    with pytest.raises(ContainerError, match="duplicate tensor name 'a'"):
+        load_tensors(path)

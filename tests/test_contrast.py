@@ -14,6 +14,7 @@ from svtc.contrast import (
     pair_matrices,
     sentence_align_loss,
 )
+from svtc.gradcheck import finite_difference_grads
 from svtc.ndgrad import Array
 
 
@@ -181,21 +182,8 @@ class TestGlossAlignLoss:
             return gloss_align_loss(pair_matrices(fv, ft), tgt)
 
         ng.backward(forward())
-        for leaf in (fv, ft):
-            ana = leaf.grad.copy()
-            num = np.zeros_like(ana)
-            h = 1e-5
-            flat = leaf.data.reshape(-1)
-            nf = num.reshape(-1)
-            for i in range(flat.size):
-                o = flat[i]
-                flat[i] = o + h
-                hi = forward().item()
-                flat[i] = o - h
-                lo = forward().item()
-                flat[i] = o
-                nf[i] = (hi - lo) / (2 * h)
-            assert np.abs(ana - num).max() / np.abs(num).max() <= 1e-6
+        for leaf, num in zip((fv, ft), finite_difference_grads(forward, [fv, ft])):
+            assert np.abs(leaf.grad - num).max() / np.abs(num).max() <= 1e-6
 
 
 class TestSentenceAlignLoss:
@@ -230,20 +218,8 @@ class TestSentenceAlignLoss:
 
         ng.backward(forward())
         assert ft.grad is None or not np.any(ft.grad)  # text side detached
-        ana = fc.grad.copy()
-        num = np.zeros_like(ana)
-        h = 1e-5
-        flat = fc.data.reshape(-1)
-        nf = num.reshape(-1)
-        for i in range(flat.size):
-            o = flat[i]
-            flat[i] = o + h
-            hi = forward().item()
-            flat[i] = o - h
-            lo = forward().item()
-            flat[i] = o
-            nf[i] = (hi - lo) / (2 * h)
-        assert np.abs(ana - num).max() / np.abs(num).max() <= 1e-6
+        (num,) = finite_difference_grads(forward, [fc])
+        assert np.abs(fc.grad - num).max() / np.abs(num).max() <= 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

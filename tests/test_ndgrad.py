@@ -1,34 +1,16 @@
 """Engine tests: forward contracts, gradient oracles, tape semantics.
 
-Gradient oracles are central finite differences (h=1e-5) computed inside
-this module, independent of the analytic rules they check.
+Gradient oracles are central finite differences (h=1e-5) from
+``gradcheck.finite_difference_grads``, independent of the analytic rules
+they check.
 """
 
 import numpy as np
 import pytest
 
 from svtc import ndgrad as ng
+from svtc.gradcheck import finite_difference_grads
 from svtc.ndgrad import Array
-
-H = 1e-5
-
-
-def fd_grads(forward, leaves, h=H):
-    """Central-difference gradients; perturbs leaf data in place."""
-    grads = []
-    for leaf in leaves:
-        flat = leaf.data.reshape(-1)
-        g = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = forward().item()
-            flat[i] = orig - h
-            lo = forward().item()
-            flat[i] = orig
-            g[i] = (hi - lo) / (2 * h)
-        grads.append(g.reshape(leaf.data.shape))
-    return grads
 
 
 def rel_err(analytic, numeric):
@@ -40,7 +22,7 @@ def check_grads(forward, leaves, tol=1e-5):
     for leaf in leaves:
         leaf.grad = None
     ng.backward(forward())
-    numeric = fd_grads(forward, leaves)
+    numeric = finite_difference_grads(forward, leaves)
     for leaf, num in zip(leaves, numeric):
         assert leaf.grad is not None
         assert rel_err(leaf.grad, num) <= tol
@@ -175,35 +157,47 @@ class TestTransposedTemporalConv:
     def test_stride_one_delta_identity(self):
         x = Array([[1.0], [2.0], [3.0]])
         w = Array(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
-        np.testing.assert_array_equal(ng.transposed_temporal_conv(x, w, stride=1).data, x.data)
+        np.testing.assert_array_equal(ng.transposed_temporal_conv(x, w, 3).data, x.data)
 
     def test_stride_two_doubles_length(self):
-        out = ng.transposed_temporal_conv(Array(np.ones((3, 2))), Array(np.ones((3, 4, 2))), stride=2)
+        out = ng.transposed_temporal_conv(Array(np.ones((3, 2))), Array(np.ones((3, 4, 2))), 6, stride=2)
         assert out.data.shape == (6, 4)
 
     def test_adjoint_identity(self):
+        # every length whose same-padded conv has T outputs; at stride 3,
+        # length 3T - 1 pads differently from 3T, so a crop of the 3T result
+        # is not the adjoint
         rng = np.random.default_rng(4)
         for stride in (1, 2, 3):
             for _ in range(5):
                 T = int(rng.integers(2, 6))
                 cin, cout = 3, 2
                 x = rng.standard_normal((T, cout))
-                y = rng.standard_normal((T * stride, cin))
                 w = rng.standard_normal((3, cin, cout))
-                lhs = float(
-                    (ng.transposed_temporal_conv(Array(x), Array(w), stride=stride).data * y).sum()
-                )
-                rhs = float((x * ng.temporal_conv(Array(y), Array(w), stride=stride).data).sum())
-                assert abs(lhs - rhs) <= 1e-10
+                for length in range((T - 1) * stride + 1, T * stride + 1):
+                    y = rng.standard_normal((length, cin))
+                    up = ng.transposed_temporal_conv(Array(x), Array(w), length, stride=stride)
+                    lhs = float((up.data * y).sum())
+                    rhs = float((x * ng.temporal_conv(Array(y), Array(w), stride=stride).data).sum())
+                    assert abs(lhs - rhs) <= 1e-10, (stride, T, length)
+
+    def test_mismatched_length_rejected(self):
+        x, w = Array(np.ones((3, 2))), Array(np.ones((3, 4, 2)))
+        for length in (4, 7, 0):
+            with pytest.raises(ValueError):
+                ng.transposed_temporal_conv(x, w, length, stride=2)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
         x = Array(rng.standard_normal((3, 2)), grad_tracked=True)
         w = Array(rng.standard_normal((3, 3, 2)), grad_tracked=True)
-        proj = Array(rng.standard_normal((6, 3)))
+        b = Array(rng.standard_normal(3), grad_tracked=True)
+        proj = Array(rng.standard_normal((5, 3)))
         check_grads(
-            lambda: ng.reduce_sum(ng.mul(ng.transposed_temporal_conv(x, w, stride=2), proj)),
-            [x, w],
+            lambda: ng.reduce_sum(
+                ng.mul(ng.transposed_temporal_conv(x, w, 5, stride=2, bias=b), proj)
+            ),
+            [x, w, b],
         )
 
 
@@ -232,16 +226,6 @@ class TestElementwise:
         assert y.data.tobytes() == np.asarray(want_y).tobytes()
         ng.backward(ng.reduce_sum(ng.mul(y, Array(g))))
         assert a.grad.tobytes() == np.asarray(want_dx).tobytes()
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ng.log(Array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ng.log(Array([-1.0]))
-
-    def test_exp_rejects_overflow(self):
-        with pytest.raises(FloatingPointError):
-            ng.exp(Array([1000.0]))
 
     def test_broadcast_add_mul(self):
         a = Array(np.ones((3, 4)), grad_tracked=True)
@@ -316,12 +300,6 @@ class TestShapeOps:
         w = Array(rng.standard_normal((3, 6)))
         check_grads(lambda: ng.reduce_sum(ng.mul(ng.concat([a, b], axis=1), w)), [a, b])
 
-    def test_slice_rows_gradient(self):
-        rng = np.random.default_rng(12)
-        x = Array(rng.standard_normal((6, 3)), grad_tracked=True)
-        w = Array(rng.standard_normal((3, 3)))
-        check_grads(lambda: ng.reduce_sum(ng.mul(ng.slice_rows(x, 1, 4), w)), [x])
-
     def test_transpose(self):
         x = Array(np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(ng.transpose(x).data, x.data.T)
@@ -330,7 +308,7 @@ class TestShapeOps:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Array(np.arange(6.0).reshape(2, 3), grad_tracked=True)
-        ng.backward(x.sum())
+        ng.backward(ng.reduce_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_gives_two_x(self):
@@ -348,8 +326,8 @@ class TestBackward:
 
         def forward():
             h = ng.gelu(ng.add(ng.matmul(x1, w), b))
-            d = ng.sub(h, t)
-            return ng.reduce_mean(ng.mul(d, d))
+            d = ng.add(h, ng.neg(t))
+            return ng.mul(ng.reduce_sum(ng.mul(d, d)), 1.0 / 12)
 
         check_grads(forward, [w, b, x1], tol=1e-5)
 
@@ -364,7 +342,7 @@ class TestBackward:
 
     def test_repeated_backward_rejected(self):
         x = Array(np.ones(3), grad_tracked=True)
-        loss = x.sum()
+        loss = ng.reduce_sum(x)
         ng.backward(loss)
         with pytest.raises(RuntimeError):
             ng.backward(loss)
@@ -372,20 +350,20 @@ class TestBackward:
     def test_detach_stops_gradient(self):
         x = Array(np.array([2.0, 3.0]), grad_tracked=True)
         y = ng.mul(x, x)
-        loss = ng.reduce_sum(ng.mul(y.detach(), x))
+        loss = ng.reduce_sum(ng.mul(Array(y.data), x))
         ng.backward(loss)
         np.testing.assert_allclose(x.grad, y.data)  # only the outer factor
 
     def test_grad_accumulates_across_losses(self):
         x = Array(np.ones(2), grad_tracked=True)
-        ng.backward(x.sum())
+        ng.backward(ng.reduce_sum(x))
         ng.backward(ng.reduce_sum(ng.mul(x, 3.0)))
         np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
     def test_no_grad_blocks_tracing(self):
         x = Array(np.ones(2), grad_tracked=True)
         with ng.no_grad():
-            loss = x.sum()
+            loss = ng.reduce_sum(x)
         with pytest.raises(ValueError):
             ng.backward(loss)
 
@@ -399,19 +377,18 @@ class TestBlanketGradientInvariant:
         x = Array(rng.standard_normal((5, 3)), grad_tracked=True)
         w = Array(rng.standard_normal((3, 3, 3)), grad_tracked=True)
         proj = Array(rng.standard_normal((5, 3)))
+        up_proj = Array(rng.standard_normal((9, 3)))
         spans = [(0, 2), (2, 5)]
         span_w = Array(rng.standard_normal((2, 3)))
 
         cases = [
             lambda: ng.reduce_sum(ng.mul(ng.gelu(x), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.sub(ng.neg(x), x), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.exp(ng.mul(x, 0.3)), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.log(ng.exp(x)), proj)),
+            lambda: ng.reduce_sum(ng.mul(ng.add(ng.neg(x), ng.mul(x, x)), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.softmax(x, axis=1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.log_softmax(x, axis=1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.pool_spans(x, spans), span_w)),
-            lambda: ng.reduce_mean(ng.mul(x, x)),
+            lambda: ng.reduce_sum(ng.mul(ng.transposed_temporal_conv(x, w, 9, stride=2), up_proj)),
         ]
         for forward in cases:
             check_grads(forward, [x], tol=1e-5)
@@ -433,8 +410,8 @@ class TestDeterminism:
         assert run() == run()
 
     def test_array_invariants(self):
-        a = Array(np.ones((2, 3)))
-        assert a.size == 6 and a.shape == (2, 3)
+        a = Array(np.ones((2, 3), dtype=np.int64))
+        assert a.data.shape == (2, 3)
         assert a.data.dtype == np.float64
 
 
