@@ -28,23 +28,12 @@ class AlignmentPath:
     assignment: list
     log_score: float
 
-    def validate(self) -> None:
-        a = self.assignment
-        if not a or a[0] != 0:
-            raise ValueError("path must start at gloss 0")
-        for x, y in zip(a, a[1:]):
-            if y - x not in (0, 1):
-                raise ValueError("path steps must be 0 or +1")
-
 
 @dataclass
 class SegmentSpans:
     """N contiguous [start, end) frame ranges partitioning [0, T')."""
 
     spans: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.spans)
 
     def __iter__(self):
         return iter(self.spans)

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, eval, decode, align, gradcheck, bench.
+Subcommands: gen-data, train, eval, decode, align, gradcheck.
 Exit codes: 0 success, 1 usage error, 2 runtime/data error.
 """
 
@@ -8,15 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
+# One BLAS thread before numpy loads: a second one does not speed up these
+# small matrices and only competes for the cores.  Preset values win.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from . import gradcheck, ndgrad, net, synthdata, train as train_mod
-from .synthdata import GenConfig, HeatmapConfig
-from .train import TrainConfig
+from . import gradcheck, net, synthdata, train as train_mod  # noqa: E402
+from .synthdata import GenConfig, HeatmapConfig  # noqa: E402
+from .train import TrainConfig  # noqa: E402
 
 
 class UsageError(Exception):
@@ -40,6 +45,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -74,14 +89,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common], help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--epochs", type=_positive_int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
+    p.add_argument("--lr0", type=_finite_float, default=None)
+    p.add_argument("--weight-decay", type=_finite_float, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--align-warmup", type=int, default=None)
-    p.add_argument("--lambda-ctc", type=float, default=None)
-    p.add_argument("--lambda-spn", type=float, default=None)
-    p.add_argument("--lambda-g", type=float, default=None)
-    p.add_argument("--lambda-s", type=float, default=None)
+    p.add_argument("--lambda-ctc", type=_finite_float, default=None)
+    p.add_argument("--lambda-spn", type=_finite_float, default=None)
+    p.add_argument("--lambda-g", type=_finite_float, default=None)
+    p.add_argument("--lambda-s", type=_finite_float, default=None)
     p.add_argument("--fusion", choices=["mlp", "conv", "attn"], default=None)
     p.add_argument("--no-frame-rate-aug", action="store_true")
 
@@ -100,10 +115,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", parents=[common], help="finite-difference audit")
     p.add_argument("--skip-model", action="store_true", help="primitives only")
-
-    p = sub.add_parser("bench", parents=[common], help="time training and decoding")
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--steps", type=_positive_int, default=20)
 
     return parser
 
@@ -138,7 +149,7 @@ def cmd_gen_data(args) -> int:
     if not args.out:
         raise UsageError("gen-data requires --out")
     data = _load_json(args.config) if args.config else {}
-    if isinstance(data, dict) and isinstance(data.get("heatmap"), dict):
+    if isinstance(data, dict) and "heatmap" in data:
         data["heatmap"] = _dataclass_from(HeatmapConfig, data["heatmap"], "heatmap")
     cfg = _dataclass_from(GenConfig, data, "generation")
     if args.seed is not None:
@@ -216,58 +227,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if not failed else 2
 
 
-def cmd_bench(args) -> int:
-    import tempfile
-
-    seed = args.seed if args.seed is not None else 0
-    corpus = args.corpus
-    tmp = None
-    if corpus is None:
-        tmp = tempfile.TemporaryDirectory()
-        cfg = GenConfig(n_train=32, n_dev=8, n_test=8, seed=seed)
-        synthdata.generate_corpus(cfg, tmp.name)
-        corpus = tmp.name
-    try:
-        model = train_mod.model_for_corpus(synthdata.load_meta(corpus), seed=seed)
-        vocab = model.vocab
-        pairs = synthdata.load_split(corpus, "train")
-        samples = [s for s, _ in pairs]
-        optimizer = train_mod.Adam(model.parameters())
-        weights = net.LossWeights()
-
-        t0 = time.perf_counter()
-        steps = 0
-        while steps < args.steps:
-            sample = samples[steps % len(samples)]
-            optimizer.zero_grad()
-            outputs = model.forward(sample)
-            terms = net.compute_losses(outputs, vocab.ids(sample.glosses), weights, True)
-            ndgrad.backward(terms.total)
-            optimizer.step(1e-3, 1e-3)
-            steps += 1
-        train_time = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for sample in samples[: args.steps]:
-            train_mod.decode_sample(model, sample)
-        decode_time = time.perf_counter() - t0
-        n_decoded = min(args.steps, len(samples))
-
-        print(
-            json.dumps(
-                {
-                    "train_steps_per_sec": steps / train_time,
-                    "decode_samples_per_sec": n_decoded / decode_time,
-                },
-                sort_keys=True,
-            )
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    return 0
-
-
 _COMMANDS = {
     "gen-data": cmd_gen_data,
     "train": cmd_train,
@@ -275,7 +234,6 @@ _COMMANDS = {
     "decode": cmd_decode,
     "align": cmd_align,
     "gradcheck": cmd_gradcheck,
-    "bench": cmd_bench,
 }
 
 

@@ -13,6 +13,7 @@ components they have in common.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, asdict
@@ -98,7 +99,7 @@ class Recognition:
 @dataclass
 class ModelOutputs:
     streams: dict  # {"v"|"k"|"o"|"c": [T', C] log-prob Array}
-    spn_streams: list  # 2 per branch, log-prob Arrays
+    spn_streams: list  # level-major: every branch's level 0 (T/4), then level 1 (T/2)
     gloss_space_feats: Array  # [T', d_j], feeds gloss-level alignment
     sentence_space_feats: Array  # [T', d_j], feeds sentence-level alignment
     text: TextFeatures
@@ -466,9 +467,8 @@ class Model:
     def forward(self, sample) -> ModelOutputs:
         """The recognition trunk plus the training-only pyramid and adapters."""
         rec = self.recognize(sample)
-        spn_streams = []
-        for m in ("v", "k", "o"):
-            spn_streams.extend(self.spn_forward(m, rec.block_feats[m]))
+        per_branch = [self.spn_forward(m, rec.block_feats[m]) for m in ("v", "k", "o")]
+        spn_streams = [s for level in zip(*per_branch) for s in level]
 
         gloss_feats = self.adapter_gloss(rec.joint)
         sentence_feats = self.adapter_sentence(rec.joint)
@@ -510,18 +510,12 @@ def compute_losses(
     """Recognition + auxiliary + alignment losses, weighted into one scalar."""
     label_ids = list(label_ids)
 
-    def summed_ctc(streams):
-        # one recursion for all streams; the terms sum shape group by shape group
-        groups = {}
-        for logp in streams:
-            groups.setdefault(logp.data.shape, []).append(logp)
-        total = None
-        for term in ctc_loss_group([a for g in groups.values() for a in g], label_ids):
-            total = term if total is None else ndgrad.add(total, term)
-        return total
-
-    terms_ctc = summed_ctc([outputs.streams[k] for k in HEAD_KEYS])
-    terms_spn = summed_ctc(outputs.spn_streams)
+    # one recursion for the head and pyramid streams; each part sums in list order
+    heads = [outputs.streams[k] for k in HEAD_KEYS]
+    terms = ctc_loss_group(heads + outputs.spn_streams, label_ids)
+    terms_ctc = functools.reduce(ndgrad.add, terms[: len(heads)])
+    spn = terms[len(heads) :]
+    terms_spn = functools.reduce(ndgrad.add, spn) if spn else None
 
     total = ndgrad.mul(terms_ctc, weights.ctc)
     if terms_spn is not None:

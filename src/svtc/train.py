@@ -29,6 +29,9 @@ from .ctc import (
 
 _EPOCH_NS = 0xE70C
 _AUG_NS = 0xA716
+# frame-rate factor and (heatmap corpora only) spatial crop scale draws
+AUG_FACTOR_RANGE = (0.5, 1.5)
+CROP_SCALE_RANGE = (0.7, 1.0)
 
 
 @dataclass
@@ -36,9 +39,6 @@ class TrainConfig:
     epochs: int = 60
     lr0: float = 1e-3
     weight_decay: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 8
     align_warmup_epochs: int = 5
     lambda_ctc: float = 1.0
@@ -47,15 +47,12 @@ class TrainConfig:
     lambda_s: float = 0.1
     seed: int = 0
     fusion: str = "mlp"
-    beam_width: int = 5
     frame_rate_aug: bool = True
-    aug_factor_range: tuple = (0.5, 1.5)
-    spatial_crop_aug: bool = True  # heatmap-mode corpora only
-    crop_scale_range: tuple = (0.7, 1.0)
 
     def __post_init__(self):
-        self.aug_factor_range = tuple(self.aug_factor_range)
-        self.crop_scale_range = tuple(self.crop_scale_range)
+        for name in ("lr0", "weight_decay", "lambda_ctc", "lambda_spn", "lambda_g", "lambda_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if not 0 <= self.align_warmup_epochs < self.epochs:
@@ -99,11 +96,12 @@ class Adam:
     """Adam with decoupled weight decay; parameters without a gradient in a
     step are left untouched (state included)."""
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
@@ -152,11 +150,14 @@ def save_checkpoint(base_path, model: net.Model) -> None:
 
 def load_checkpoint(base_path) -> net.Model:
     base = Path(base_path)
-    with open(base.with_suffix(".json")) as fh:
+    sidecar_path = base.with_suffix(".json")
+    with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    vocab = GlossVocab(tuple(sidecar["glosses"]))
-    cfg = net.ModelConfig(**sidecar["model"])
-    model = net.Model(cfg, vocab)
+    try:
+        vocab = GlossVocab(tuple(sidecar["glosses"]))
+        model = net.Model(net.ModelConfig(**sidecar["model"]), vocab)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"bad checkpoint sidecar {sidecar_path}: {err}") from None
     tensors = container.load_tensors(base.with_suffix(".svt"))
     params = model.parameters()
     if set(tensors) != set(params):
@@ -209,10 +210,10 @@ def evaluate_split(model, samples, width=5, head="avg", workers=None):
 def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg=None, gen_seed=0):
     rng = np.random.default_rng((tcfg.seed, _AUG_NS, epoch, index))
     if tcfg.frame_rate_aug:
-        lo, hi = tcfg.aug_factor_range
+        lo, hi = AUG_FACTOR_RANGE
         sample = synthdata.frame_rate_augment(sample, float(rng.uniform(lo, hi)))
-    if tcfg.spatial_crop_aug and sample.points is not None and hm_cfg is not None:
-        lo, hi = tcfg.crop_scale_range
+    if sample.points is not None and hm_cfg is not None:
+        lo, hi = CROP_SCALE_RANGE
         scale = float(rng.uniform(lo, hi))
         x_k = synthdata.materialize_keypoints(sample.points, hm_cfg, gen_seed, scale, rng)
         sample = replace(sample, x_k=x_k)
@@ -254,7 +255,7 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None =
     dev_pairs = synthdata.load_split(corpus_dir, "dev")
     train_samples = [s for s, _ in train_pairs]
 
-    optimizer = Adam(model.parameters(), tcfg.beta1, tcfg.beta2, tcfg.eps)
+    optimizer = Adam(model.parameters())
     weights = tcfg.loss_weights()
 
     metrics_path = out_dir / "metrics.jsonl"
@@ -301,9 +302,7 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None =
                     optimizer.step(lr, tcfg.weight_decay, grad_scale=1.0 / n_batch)
                 n_seen += n_batch
 
-            dev_report, _ = evaluate_split(
-                model, dev_pairs, width=tcfg.beam_width, head="avg"
-            )
+            dev_report, _ = evaluate_split(model, dev_pairs)
             record = {
                 "epoch": epoch,
                 "lr": lr,

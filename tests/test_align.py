@@ -85,7 +85,8 @@ class TestDtwAlign:
             N = int(rng.integers(1, min(T, 4) + 1))
             M = rng.uniform(1e-6, 1.0, size=(T, N))
             got = dtw_align(M)
-            got.validate()
+            a = got.assignment
+            assert a[0] == 0 and all(y - x in (0, 1) for x, y in zip(a, a[1:]))
             best = max(
                 path_log_score(M, path) for path in enumerate_paths(T, N)
             )
@@ -138,7 +139,7 @@ class TestPathToSpans:
             path = dtw_align(M)
             spans = path_to_spans(path)
             spans.validate(total=T)
-            assert len(spans) == N  # every gloss owns a nonempty segment
+            assert len(spans.spans) == N  # every gloss owns a nonempty segment
 
     def test_dtw_then_spans_always_n_nonempty(self):
         rng = np.random.default_rng(8)
@@ -148,7 +149,7 @@ class TestPathToSpans:
             if N > T:
                 continue
             spans = path_to_spans(dtw_align(rng.uniform(0.01, 1, (T, N))))
-            assert len(spans) == N
+            assert len(spans.spans) == N
             assert all(e > s for s, e in spans)
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +78,15 @@ class TestGenDataCommand:
         assert "error: unknown heatmap config keys: ['bogus']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("use_heatmaps", [False, True])
+    def test_non_object_heatmap_is_usage_error(self, tmp_path, capsys, use_heatmaps):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"use_heatmaps": use_heatmaps, "heatmap": [1]}))
+        assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown heatmap config keys: expected an object, got list" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainLoop:
     def test_metrics_log_schema_and_lr_schedule(self, tiny_run):
@@ -123,6 +134,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(epochs=5, align_warmup_epochs=5)
 
+    @pytest.mark.parametrize(
+        "name", ["lr0", "weight_decay", "lambda_ctc", "lambda_spn", "lambda_g", "lambda_s"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 class TestTrainConfigFile:
     @pytest.fixture
@@ -145,6 +164,23 @@ class TestTrainConfigFile:
     def test_non_object_config_is_usage_error(self, tmp_path, capsys, no_training):
         assert self.run_with(tmp_path, [1, 2]) == 1
         assert "error: unknown train config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key",
+        ["beta1", "beta2", "eps", "beam_width", "aug_factor_range", "spatial_crop_aug",
+         "crop_scale_range"],
+    )
+    def test_retired_train_key_is_usage_error(self, tmp_path, capsys, no_training, key):
+        assert self.run_with(tmp_path, {"train": {key: 1}}) == 1
+        assert f"error: unknown train config keys: ['{key}']" in capsys.readouterr().err
+
+    def test_nan_in_config_file_is_a_data_error(self, tmp_path, capsys, no_training):
+        # json.load accepts NaN, so TrainConfig itself must reject it
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text('{"train": {"lr0": NaN}}')
+        argv = ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        assert "error: lr0 must be finite, got nan" in capsys.readouterr().err
 
     def test_model_section_wins_over_fusion_and_seed(self, tiny_corpus, tmp_path):
         config = {
@@ -201,12 +237,13 @@ class TestStreamBoundary:
 
 class TestCheckpoint:
     def test_round_trip_reproduces_dev_wer_exactly(self, tiny_corpus, tiny_run):
-        out, artifacts, tcfg = tiny_run
+        _, artifacts, _ = tiny_run
+        # width 5 is the default that dev scoring uses during training
         report1, decodes1 = evaluate_corpus(
-            artifacts.checkpoint_path, tiny_corpus, split="dev", width=tcfg.beam_width
+            artifacts.checkpoint_path, tiny_corpus, split="dev", width=5
         )
         report2, decodes2 = evaluate_corpus(
-            artifacts.checkpoint_path, tiny_corpus, split="dev", width=tcfg.beam_width
+            artifacts.checkpoint_path, tiny_corpus, split="dev", width=5
         )
         assert report1.to_dict() == report2.to_dict()
         assert decodes1 == decodes2
@@ -232,6 +269,24 @@ class TestCheckpoint:
         bad.with_suffix(".json").write_text(json.dumps(sidecar))
         with pytest.raises(ValueError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "edit", [{"bogus": 1}, {"vocab_size": "13"}], ids=["extra-key", "string-vocab-size"]
+    )
+    def test_bad_sidecar_model_is_a_data_error(
+        self, tiny_corpus, tiny_run, tmp_path, capsys, edit
+    ):
+        _, artifacts, _ = tiny_run
+        base = Path(artifacts.checkpoint_path)
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        sidecar["model"].update(edit)
+        bad = tmp_path / "bad"  # the sidecar fails before the .svt is read
+        bad.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="bad checkpoint sidecar .*bad\\.json"):
+            load_checkpoint(bad)
+        argv = ["eval", "--corpus", str(tiny_corpus), "--checkpoint", str(bad)]
+        assert main(argv) == 2
+        assert "error: bad checkpoint sidecar" in capsys.readouterr().err
 
 
 class TestEvalAndDecode:
@@ -280,12 +335,12 @@ class TestEvalAndDecode:
         from svtc.ctc import aggregate_reports, wer
         from svtc.train import decode_sample
 
-        _, artifacts, tcfg = tiny_run
+        _, artifacts, _ = tiny_run
         model = load_checkpoint(artifacts.checkpoint_path)
         pairs = synthdata.load_split(tiny_corpus, "dev")
         reports = []
         for sample, _ in pairs:
-            hyp = decode_sample(model, sample, width=tcfg.beam_width)
+            hyp = decode_sample(model, sample, width=5)
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
         agg = aggregate_reports(reports)
         total_edits = sum(r.distance for r in reports)
@@ -296,7 +351,7 @@ class TestEvalAndDecode:
         from svtc.ctc import ProbStream, aggregate_reports, average_streams, wer
         from svtc.train import evaluate_split
 
-        _, artifacts, tcfg = tiny_run
+        _, artifacts, _ = tiny_run
         model = load_checkpoint(artifacts.checkpoint_path)
         pairs = synthdata.load_split(tiny_corpus, "dev") + synthdata.load_split(
             tiny_corpus, "test"
@@ -308,10 +363,10 @@ class TestEvalAndDecode:
             stream = average_streams(
                 [ProbStream(out.streams[k], log_space=True) for k in net.HEAD_KEYS]
             )
-            hyp = reference_beam_decode(stream, tcfg.beam_width)
+            hyp = reference_beam_decode(stream, 5)
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
             want.append((sample.id, model.vocab.lookup_all(hyp)))
-        report, decodes = evaluate_split(model, pairs, width=tcfg.beam_width, workers=1)
+        report, decodes = evaluate_split(model, pairs, width=5, workers=1)
         assert decodes == want
         assert report.to_dict() == aggregate_reports(reports).to_dict()
         assert any(glosses for _, glosses in decodes)
@@ -505,21 +560,60 @@ class TestExitCodes:
         assert main(argv + [flag, value]) == 1
         assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps", ["0", "-3", "two"])
-    def test_bench_steps_below_one_is_usage_error(self, monkeypatch, capsys, steps):
+    @pytest.mark.parametrize(
+        "flag",
+        ["--lr0", "--weight-decay", "--lambda-ctc", "--lambda-spn", "--lambda-g", "--lambda-s"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_float_flag_fails_before_reading(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("bench started despite a bad --steps")
+            raise AssertionError(f"a file was read despite a bad {flag}")
 
-        monkeypatch.setattr(synthdata, "generate_corpus", must_not_run)
-        assert main(["bench", "--steps", steps]) == 1
-        captured = capsys.readouterr()
-        assert "--steps" in captured.err and captured.out == ""
+        monkeypatch.setattr(train_mod, "train", must_not_run)
+        monkeypatch.setattr("svtc.cli._load_json", must_not_run)
+        argv = ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+        argv += ["--config", str(tmp_path / "missing.json")]
+        assert main(argv + [f"{flag}={value}"]) == 1
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
+    def test_bench_is_an_unknown_subcommand(self, capsys):
+        assert main(["bench"]) == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path):
         out = tmp_path / "c"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_train": 2, "n_dev": 1, "n_test": 1}))
         assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 0
+
+
+class TestBlasPin:
+    NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def import_cli(self, preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.NAMES}
+        env.update(preset)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src)
+        code = (
+            "import json, os, sys, svtc.cli; "
+            f"print(json.dumps([[os.environ.get(n) for n in {self.NAMES!r}], "
+            "'numpy' in sys.modules]))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(out.stdout)
+
+    def test_unset_variables_pinned_to_one(self):
+        values, numpy_loaded = self.import_cli({})
+        assert values == ["1", "1", "1"] and numpy_loaded
+
+    def test_preset_value_wins(self):
+        values, _ = self.import_cli({"OPENBLAS_NUM_THREADS": "2"})
+        assert values == ["2", "1", "1"]
 
 
 class TestThreadCap:

@@ -224,6 +224,23 @@ class TestCtcLoss:
             assert term.data.tobytes() == np.float64(want_loss).tobytes()
             assert a.grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("labels", [[2], [1, 3, 3], [3, 1, 2, 1]])
+    def test_heads_plus_pyramid_group_bitwise_equals_one_stream_calls(self, labels):
+        # compute_losses' one call: 4 head streams at T/4, then the 6 pyramid
+        # streams level-major (3 at T/4, 3 at T/2) for an odd T of 29
+        rng = np.random.default_rng(43)
+        lengths = [8] * 4 + [8, 8, 8, 15, 15, 15]
+        grouped = [Array(np.log(random_stream(rng, T, 5)), grad_tracked=True) for T in lengths]
+        alone = [Array(a.data.copy(), grad_tracked=True) for a in grouped]
+        terms = ctc_loss_group(grouped, labels)
+        for term in terms:
+            ng.backward(term)
+        for a, b, term in zip(grouped, alone, terms):
+            want = ctc_loss(b, labels)
+            ng.backward(want)
+            assert term.data.tobytes() == want.data.tobytes()
+            assert a.grad.tobytes() == b.grad.tobytes()
+
     def test_group_matches_individual(self):
         rng = np.random.default_rng(13)
         labels = [2, 1, 1]

@@ -199,14 +199,15 @@ class TestSpn:
         model = Model(small_cfg(), VOCAB)
         out = model.forward(make_sample(T=16))
         lengths = [s.data.shape[0] for s in out.spn_streams]
-        # per branch: level 0 matches block 3 (T/4), level 1 matches block 2 (T/2)
-        assert lengths == [4, 8, 4, 8, 4, 8]
+        # level-major: every branch's level 0 (block 3, T/4), then every
+        # branch's level 1 (block 2, T/2)
+        assert lengths == [4, 4, 4, 8, 8, 8]
 
     def test_odd_length_input_cropped_upsample(self):
         model = Model(small_cfg(), VOCAB)
         out = model.forward(make_sample(T=13))
         lengths = [s.data.shape[0] for s in out.spn_streams]
-        assert lengths == [4, 7, 4, 7, 4, 7]
+        assert lengths == [4, 4, 4, 7, 7, 7]  # level-major, as above
 
     def test_upsample_matches_lateral_length(self):
         model = Model(small_cfg(), VOCAB)
