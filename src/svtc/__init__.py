@@ -3,7 +3,7 @@
 Sub-modules:
     ndgrad    -- float64 arrays with reverse-mode automatic differentiation
     container -- binary tensor container ("SVTC") shared by corpus/checkpoints
-    ctc       -- CTC loss, greedy/beam decoding, WER scoring
+    ctc       -- CTC loss, prefix-beam decoding, WER scoring
     align     -- DTW frame-to-gloss alignment and segment/token pooling
     contrast  -- gloss-level and sentence-level visual-textual losses
     net       -- three-branch model, fusion, pyramid heads, adapters

@@ -130,27 +130,30 @@ def path_to_spans(path: AlignmentPath) -> SegmentSpans:
     return SegmentSpans(spans=_runs(path.assignment))
 
 
-def pool_visual(features: Array, spans: SegmentSpans) -> Array:
+def pool_visual(features: Array, spans: SegmentSpans, rows=None) -> Array:
     """Per-gloss mean of frame features [T', d] -> [N, d].
 
     The spans must partition [0, T'); gradient flows into the features but
-    never into the span selection.
+    never into the span selection.  When the features pack several samples,
+    ``rows`` = (start, stop) names this sample's T' rows (default: all).
     """
-    T = features.data.shape[0]
-    spans.validate(total=T)
-    return ndgrad.pool_spans(features, spans.spans)
+    start, stop = rows or (0, features.data.shape[0])
+    spans.validate(total=stop - start)
+    return ndgrad.pool_spans(features, [(s + start, e + start) for s, e in spans])
 
 
-def pool_tokens(token_features: Array, token_to_gloss) -> Array:
+def pool_tokens(token_features: Array, token_to_gloss, rows=None) -> Array:
     """Per-gloss mean of token features using the tokenizer's gloss map.
 
     The map must be monotonic non-decreasing and cover every gloss position
-    0..N-1; the end-of-sequence token is not part of the map.
+    0..N-1; the end-of-sequence token is not part of the map.  When the
+    features pack several samples' tokens, ``rows`` = (start, stop) names
+    this sample's (default: all).
     """
     mapping = [int(g) for g in token_to_gloss]
-    n_tokens = token_features.data.shape[0]
-    if len(mapping) != n_tokens:
-        raise ValueError(f"map length {len(mapping)} != token count {n_tokens}")
+    start, stop = rows or (0, token_features.data.shape[0])
+    if len(mapping) != stop - start:
+        raise ValueError(f"map length {len(mapping)} != token count {stop - start}")
     if not mapping:
         raise ValueError("empty token map")
     if mapping[0] != 0:
@@ -158,4 +161,4 @@ def pool_tokens(token_features: Array, token_to_gloss) -> Array:
     for a, b in zip(mapping, mapping[1:]):
         if b - a not in (0, 1):
             raise ValueError("token map must be monotonic and onto 0..N-1")
-    return ndgrad.pool_spans(token_features, _runs(mapping))
+    return ndgrad.pool_spans(token_features, [(s + start, e + start) for s, e in _runs(mapping)])

@@ -63,14 +63,32 @@ def _load_json(path):
         return json.load(fh)
 
 
+# JSON value kinds each annotated config field type accepts
+_JSON_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "tuple": ((list,), "an array"),
+}
+
+
 def _dataclass_from(cls, data: dict, label: str, build: bool = True):
-    """``cls(**data)`` after rejecting a non-object or unknown keys as usage errors."""
+    """``cls(**data)`` after rejecting a non-object, unknown keys or a value
+    of the wrong JSON kind as usage errors."""
     if not isinstance(data, dict):
         kind = type(data).__name__
         raise UsageError(f"unknown {label} config keys: expected an object, got {kind}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown {label} config keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in data or f.type not in _JSON_KINDS:
+            continue
+        kinds, what = _JSON_KINDS[f.type]
+        value = data[f.name]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
+            raise UsageError(f"{label} config key {f.name!r} must be {what}, got {value!r}")
     return cls(**data) if build else data
 
 

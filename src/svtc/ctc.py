@@ -1,4 +1,4 @@
-"""CTC loss with analytic gradients, greedy/beam decoding and WER scoring.
+"""CTC loss with analytic gradients, prefix-beam decoding and WER scoring.
 
 The blank class is fixed at index 0 everywhere.  Loss and gradients are
 computed in log space via the forward-backward recursion over the
@@ -155,23 +155,31 @@ def min_frames(labels) -> int:
     return len(labels) + repeats
 
 
-def _ctc_kernel(streams, ext: np.ndarray, skip: np.ndarray):
-    """Forward-backward over [T_b, C] log-prob streams sharing one label sequence.
+def _ctc_kernel(streams, exts, skips, owners):
+    """Forward-backward over [T_b, C] log-prob streams, stream b aligned to
+    the blank-extended labels ``exts[b]`` (hops ``skips[b]``).
 
     Returns (log marginals [B], per-stream gradients [T_b, C] w.r.t. the log
     probabilities).  One recursion runs every stream's alpha rows and its beta
     rows, the latter reversed in time and state so that they too start at
-    step 0; a shorter stream's rows run on over padding that is never read.
+    step 0.  Shorter label sequences are padded with blank states of -inf
+    emission and shorter streams run on over padding; neither is ever read.
+    Streams of one ``owners`` entry share their labels.
     """
-    B, S = len(streams), ext.size
+    B = len(streams)
     lengths = [x.shape[0] for x in streams]
-    emit = np.zeros((2 * B, max(lengths), S))
-    for b, x in enumerate(streams):
-        U = x[:, ext]
-        emit[b, : lengths[b]] = U
-        emit[B + b, : lengths[b]] = U[::-1, ::-1]
+    sizes = [e.size for e in exts]
+    S = max(sizes)
+    emit = np.full((2 * B, max(lengths), S), _NEG_INF)
     # alpha hops s-2 -> s where skip[s]; beta hops s+2 -> s where skip[s+2]
-    hop = np.concatenate([np.tile(skip[2:], (B, 1)), np.tile(skip[:1:-1], (B, 1))])
+    hop = np.zeros((2 * B, max(S - 2, 0)), dtype=bool)
+    for b, (x, ext, skip) in enumerate(zip(streams, exts, skips)):
+        U = x[:, ext]
+        T, n = lengths[b], sizes[b]
+        emit[b, :T, :n] = U
+        emit[B + b, :T, :n] = U[::-1, ::-1]
+        hop[b, : max(n - 2, 0)] = skip[2:]
+        hop[B + b, : max(n - 2, 0)] = skip[:1:-1]
 
     rec = np.full(emit.shape, _NEG_INF)
     rec[:, 0, :2] = emit[:, 0, :2]
@@ -184,13 +192,15 @@ def _ctc_kernel(streams, ext: np.ndarray, skip: np.ndarray):
             np.logaddexp(cur[:, 2:], prev[:, :-2], out=cur[:, 2:], where=hop)
         cur += emit[:, t, :]
 
-    # equal-length streams share the posterior arithmetic, in input order
+    # equal-length streams of one owner share the posterior arithmetic
     log_p, grads, groups = np.empty(B), [None] * B, {}
     for b, T in enumerate(lengths):
-        groups.setdefault(T, []).append(b)
-    for T, idx in groups.items():
-        alpha = rec[idx, :T]
-        beta = rec[[B + b for b in idx], T - 1 :: -1, ::-1]
+        groups.setdefault((T, owners[b]), []).append(b)
+    for (T, _), idx in groups.items():
+        ext = exts[idx[0]]
+        S = ext.size
+        alpha = rec[idx, :T, :S]
+        beta = rec[[B + b for b in idx], T - 1 :: -1, S - 1 :: -1]
         lp = alpha[:, T - 1, S - 1]
         if S > 1:
             lp = np.logaddexp(lp, alpha[:, T - 1, S - 2])
@@ -210,13 +220,18 @@ def _ctc_kernel(streams, ext: np.ndarray, skip: np.ndarray):
     return log_p, grads
 
 
-def _prepare_labels(labels, T: int, C: int):
-    labels = validate_labels(labels, C)
+def check_feasible(labels, T: int) -> None:
+    """Raise :class:`CtcInfeasibleError` if ``labels`` cannot align onto T frames."""
     need = min_frames(labels)
     if T < need:
         raise CtcInfeasibleError(
             f"label sequence needs at least {need} frames, stream has {T}"
         )
+
+
+def _prepare_labels(labels, T: int, C: int):
+    labels = validate_labels(labels, C)
+    check_feasible(labels, T)
     ext = expand_with_blanks(labels)
     skip = np.zeros(ext.size, dtype=bool)
     if ext.size > 2:
@@ -232,14 +247,17 @@ def ctc_loss(log_probs, labels) -> Array:
     posteriors.  An infeasible label length raises
     :class:`CtcInfeasibleError` instead of returning an infinite loss.
     """
-    return ctc_loss_group([log_probs], labels)[0]
+    return ndgrad.reduce_sum(ctc_loss_group([log_probs], [labels])[0])
 
 
-def ctc_loss_group(log_prob_arrays, labels) -> list:
-    """:func:`ctc_loss` for several streams of one sample at once.
+def ctc_loss_group(log_prob_arrays, labels, lengths=None) -> list:
+    """:func:`ctc_loss` for every stream of every sample of a pack at once.
 
-    The streams share the class count and may differ in length; one batched
-    recursion runs them all.  Returns one scalar Array per input stream.
+    Each [R, C] array packs one stream per sample along time: sample i owns
+    ``lengths[a][i]`` consecutive rows of array a (by default each array is
+    one sample's stream).  ``labels`` holds one label sequence per sample.
+    All arrays share the class count; one batched recursion runs every
+    stream.  Returns one [n] Array of the n samples' losses per input array.
     """
     arrays = [a if isinstance(a, Array) else Array(a) for a in log_prob_arrays]
     if not arrays:
@@ -249,23 +267,42 @@ def ctc_loss_group(log_prob_arrays, labels) -> list:
     C = arrays[0].data.shape[1]
     if any(a.data.shape[1] != C for a in arrays):
         raise ValueError("grouped streams must share the class count")
-    ext, skip = _prepare_labels(labels, min(a.data.shape[0] for a in arrays), C)
-    log_p, grads = _ctc_kernel([a.data for a in arrays], ext, skip)
-    return [
-        ndgrad.custom_op(np.float64(-lp), (a,), lambda g, gi=gi: (g * gi,))
-        for a, lp, gi in zip(arrays, log_p, grads)
+    if lengths is None:
+        lengths = [(a.data.shape[0],) for a in arrays]
+    lengths = [tuple(int(n) for n in lens) for lens in lengths]
+    n = len(labels)
+    if len(lengths) != len(arrays):
+        raise ValueError(f"{len(lengths)} segment-length lists for {len(arrays)} arrays")
+    for a, lens in zip(arrays, lengths):
+        if len(lens) != n or sum(lens) != a.data.shape[0]:
+            rows = a.data.shape[0]
+            raise ValueError(f"segment lengths {lens} do not fit {n} samples in {rows} rows")
+    prepared = [
+        _prepare_labels(lab, min(lens[i] for lens in lengths), C)
+        for i, lab in enumerate(labels)
     ]
+    streams, owners = [], []
+    for a, lens in zip(arrays, lengths):
+        bounds = np.cumsum((0,) + lens).tolist()
+        streams += [a.data[s:e] for s, e in zip(bounds, bounds[1:])]
+        owners += range(n)
+    log_p, grads = _ctc_kernel(
+        streams, [prepared[i][0] for i in owners], [prepared[i][1] for i in owners], owners
+    )
+    out = []
+    for j, (a, lens) in enumerate(zip(arrays, lengths)):
+        grad = np.concatenate(grads[j * n : (j + 1) * n])
+
+        def grad_fn(g, grad=grad, lens=lens):
+            return (grad * np.repeat(g, lens)[:, None],)
+
+        out.append(ndgrad.custom_op(-log_p[j * n : (j + 1) * n], (a,), grad_fn))
+    return out
 
 
 def collapse(path) -> list:
     """Remove repeats then blanks from a frame-label path."""
     return [c for c, _ in groupby(path) if c != BLANK]
-
-
-def greedy_decode(stream: ProbStream) -> list:
-    """Per-frame argmax (ties to the lower class id), collapsed."""
-    ids = np.argmax(stream.prob_matrix(), axis=1)
-    return collapse(int(c) for c in ids)
 
 
 def _lae(a: float, b: float) -> float:

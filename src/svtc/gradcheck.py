@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contrast, ndgrad, net
-from .ctc import GlossVocab, ctc_loss
+from .ctc import GlossVocab, ctc_loss, ctc_loss_group
 from .ndgrad import Array
 from .synthdata import Sample
 
@@ -112,6 +112,45 @@ def _scalar_checks(seed: int):
         x, w, c = _leaf(rng, (7, 3)), _leaf(rng, (3, 3, 2)), _leaf(rng, (2,))
         return with_weights(rng, lambda: ndgrad.temporal_conv(x, w, 2, bias=c), [x, w, c])
 
+    def b_conv_packed(stride):
+        # three packed segments, each padded and strided on its own
+        def build(rng):
+            x, w, c = _leaf(rng, (16, 3)), _leaf(rng, (3, 3, 2)), _leaf(rng, (2,))
+            return with_weights(
+                rng,
+                lambda: ndgrad.temporal_conv(x, w, stride, bias=c, lengths=(5, 4, 7)),
+                [x, w, c],
+            )
+
+        return build
+
+    def b_tconv_packed(rng):
+        # odd segment lengths 7 and 5 at stride 2: 4 + 3 input rows
+        x, w, c = _leaf(rng, (7, 2)), _leaf(rng, (3, 3, 2)), _leaf(rng, (3,))
+        return with_weights(
+            rng,
+            lambda: ndgrad.transposed_temporal_conv(x, w, (7, 5), stride=2, bias=c),
+            [x, w, c],
+        )
+
+    def b_attention(rng):
+        q, k, v = _leaf(rng, (9, 3)), _leaf(rng, (9, 3)), _leaf(rng, (9, 2))
+        return with_weights(
+            rng, lambda: ndgrad.segment_attention(q, k, v, 0.6, lengths=(4, 5)), [q, k, v]
+        )
+
+    def b_ctc_group(rng):
+        # two arrays packing two samples each, every sample with its own labels
+        a, b = _leaf(rng, (11, 4)), _leaf(rng, (7, 4))
+        labels = [[1, 2, 1], [3]]
+
+        def fwd():
+            streams = [ndgrad.log_softmax(a, axis=1), ndgrad.log_softmax(b, axis=1)]
+            losses = ctc_loss_group(streams, labels, [(6, 5), (4, 3)])
+            return ndgrad.reduce_sum(ndgrad.mul(ndgrad.add(losses[0], losses[1]), [0.7, 1.3]))
+
+        return fwd, [a, b]
+
     def b_tconv(rng):
         # length 7, not 4 * 2: the odd-length geometry of an odd pyramid lateral
         x, w, c = _leaf(rng, (4, 2)), _leaf(rng, (3, 3, 2)), _leaf(rng, (3,))
@@ -178,13 +217,18 @@ def _scalar_checks(seed: int):
 
     register("matmul", b_matmul)
     register("temporal_conv", b_conv)
+    register("temporal_conv_packed_s1", b_conv_packed(1))
+    register("temporal_conv_packed_s2", b_conv_packed(2))
     register("transposed_temporal_conv", b_tconv)
+    register("transposed_conv_packed", b_tconv_packed)
+    register("segment_attention", b_attention)
     register("gelu", b_gelu)
     register("elementwise_chain", b_elementwise)
     register("softmax", b_softmax)
     register("log_softmax", b_log_softmax)
     register("pool_spans", b_pool)
     register("ctc_loss", b_ctc)
+    register("ctc_loss_group_packed", b_ctc_group)
     register("gloss_align_loss", b_gloss_align, tol=1e-5)
     register("sentence_align_loss", b_sentence_align, tol=1e-6)
     register("fusion_mlp", b_fusion_mlp)

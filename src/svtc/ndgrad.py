@@ -5,7 +5,12 @@ the inputs and a gradient closure.  ``backward`` linearizes the nodes
 reachable from a scalar loss into a :class:`Tape` (execution order) and
 replays it in exact reverse order, so an identical op sequence always yields
 bit-identical forward values and gradients.  It returns nothing: each
-leaf's gradient accumulates into its ``.grad``.
+leaf's gradient accumulates into its ``.grad``.  The sweep frees each node
+once it has used it, so a graph can be swept only once.
+
+Time-mixing primitives take ``lengths``: the rows of a [R, d] array may pack
+several sequences end to end, and convolution and attention then stay
+inside each one, as if each ran alone.
 
 Numerical policy: everything is float64.  Operations never mutate their
 inputs.  ``softmax``/``log_softmax`` are computed with max-subtraction and
@@ -14,6 +19,7 @@ cannot overflow on finite input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -40,6 +46,7 @@ __all__ = [
     "pool_spans",
     "temporal_conv",
     "transposed_temporal_conv",
+    "segment_attention",
     "GELU_CUBIC_COEFF",
 ]
 
@@ -86,17 +93,16 @@ class Array:
     operation ever mutates an existing Array.
     """
 
-    __slots__ = ("data", "grad_tracked", "grad", "_node", "_back_done")
+    __slots__ = ("data", "grad_tracked", "grad", "_node")
 
     def __init__(self, data, grad_tracked: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad_tracked = bool(grad_tracked)
         self.grad = None
         self._node = None
-        self._back_done = False
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         tag = ", leaf" if self.grad_tracked else ""
@@ -167,6 +173,10 @@ class Tape:
             n = a._node
             if n is not None:
                 if n not in seen:
+                    if n.grad_fn is None:
+                        raise RuntimeError(
+                            "backward reached a node an earlier backward freed; rebuild the graph"
+                        )
                     seen.add(n)
                     entries.append((a, n))
                     stack.extend(n.inputs)
@@ -177,12 +187,17 @@ class Tape:
         return cls(entries, leaves)
 
     def run_backward(self, out: Array) -> None:
+        """Sweep the entries in reverse, popping each one and freeing its node."""
         grads = {out: np.ones((), dtype=np.float64)}
-        for a, n in reversed(self.entries):
+        entries = self.entries
+        while entries:
+            a, n = entries.pop()
+            inputs, grad_fn = n.inputs, n.grad_fn
+            n.inputs = n.grad_fn = None  # what the closure saved goes with it
             g = grads.pop(a, None)
             if g is None:
                 continue
-            for inp, gi in zip(n.inputs, n.grad_fn(g)):
+            for inp, gi in zip(inputs, grad_fn(g)):
                 if gi is None or (inp._node is None and not inp.grad_tracked):
                     continue
                 prev = grads.get(inp)
@@ -202,8 +217,9 @@ def backward(loss: Array) -> None:
     """Reverse sweep from a scalar loss; returns nothing.
 
     Gradients accumulate into each leaf's ``.grad`` (reset by assigning
-    None), so per-sample losses in a batch can share leaves.  Calling
-    backward twice on the same loss is an error.
+    None), so several losses can share leaves.  The sweep frees the graph
+    behind the loss: a second backward through any node of it raises
+    RuntimeError.
     """
     if not isinstance(loss, Array):
         raise TypeError("backward expects an Array")
@@ -211,9 +227,6 @@ def backward(loss: Array) -> None:
         raise ValueError("backward requires a scalar loss")
     if loss._node is None and not loss.grad_tracked:
         raise ValueError("loss is detached from any gradient tape")
-    if loss._back_done:
-        raise RuntimeError("backward already ran for this loss; rebuild the graph")
-    loss._back_done = True
     Tape.trace(loss).run_backward(loss)
 
 
@@ -279,7 +292,8 @@ def mul(a, b) -> Array:
 
 def gelu(a) -> Array:
     """Gaussian error linear unit, tanh approximation (cubic coefficient
-    ``GELU_CUBIC_COEFF`` = 0.044715)."""
+    ``GELU_CUBIC_COEFF`` = 0.044715).  The node keeps only ``x`` and ``t``;
+    the backward recomputes ``0.5 * x`` and ``1 + t``."""
     a = _as_array(a)
     x = a.data
     # in-place steps in the operation order of the expressions noted
@@ -290,8 +304,9 @@ def gelu(a) -> Array:
     t += x
     t *= _GELU_SCALE
     np.tanh(t, out=t)
-    half_x, one_t = 0.5 * x, 1.0 + t  # 0.5 * x * (1 + t); the gradient reuses both
-    out = Array(half_x * one_t)
+    out_data = 0.5 * x  # 0.5 * x * (1 + t)
+    out_data *= 1.0 + t
+    out = Array(out_data)
     if _tracing(a):
 
         def grad_fn(g):
@@ -301,9 +316,12 @@ def gelu(a) -> Array:
             dinner *= x  # scale * (1 + 3c * x * x)
             dinner += 1.0
             dinner *= _GELU_SCALE
-            dx = half_x * sech2  # g * (0.5 * (1 + t) + 0.5 * x * sech2 * dinner)
+            dx = 0.5 * x  # g * (0.5 * (1 + t) + 0.5 * x * sech2 * dinner)
+            dx *= sech2
             dx *= dinner
-            dx += 0.5 * one_t
+            one_t = np.add(1.0, t, out=sech2)
+            one_t *= 0.5
+            dx += one_t
             dx *= g
             return (dx,)
 
@@ -464,30 +482,65 @@ def pool_spans(a, spans) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# temporal convolutions
+# segments, temporal convolutions and attention
 
 
-def _conv_geometry(T: int, k: int, stride: int):
-    """Same padding: ceil(T / stride) outputs, the odd pad frame on the left."""
-    t_out = -(-T // stride)
-    pad = max((t_out - 1) * stride + k - T, 0)
-    return t_out, pad, (pad + 1) // 2
-
-
-def _check_conv_args(T, k, stride):
-    if T < 1:
+def _segments(lengths, rows=None) -> tuple:
+    """Per-segment row counts of a packed time axis, checked against
+    ``rows`` when given; None is one segment of all rows."""
+    if lengths is None:
+        lengths = (rows,)
+    elif isinstance(lengths, (int, np.integer)):
+        lengths = (int(lengths),)
+    else:
+        lengths = tuple(lengths)
+    if not lengths or min(lengths) < 1:
         raise ValueError("empty time axis")
+    if rows is not None and sum(lengths) != rows:
+        raise ValueError(f"segment lengths {lengths} do not add up to {rows} rows")
+    return lengths
+
+
+@functools.lru_cache(maxsize=512)
+def _tap_slices(lengths: tuple, k: int, stride: int):
+    """Where a same-padded conv over packed segments reads its input.
+
+    Returns (output rows, plan): ``plan[j]`` lists (out_rows, in_rows) slice
+    pairs, one per segment, such that output rows ``out_rows`` read input
+    rows ``in_rows`` under tap j; every other (output row, tap) reads
+    padding.  Each segment of L rows is padded on its own, the odd pad frame
+    on the left, and gets ceil(L / stride) output rows.
+    """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if k % 2 == 0:
         raise ValueError("kernel size must be odd")
+    plan = [[] for _ in range(k)]
+    off_in = off_out = 0
+    for length in lengths:
+        t_out = -(-length // stride)
+        pad_left = (max((t_out - 1) * stride + k - length, 0) + 1) // 2
+        for j in range(k):
+            # output t reads input t * stride + j - pad_left while in [0, length)
+            t0 = max(-((j - pad_left) // stride), 0)
+            t1 = min((length - 1 - j + pad_left) // stride + 1, t_out)
+            if t0 < t1:
+                a = off_in + t0 * stride + j - pad_left
+                rows_in = slice(a, a + (t1 - t0 - 1) * stride + 1, stride)
+                plan[j].append((slice(off_out + t0, off_out + t1), rows_in))
+        off_in += length
+        off_out += t_out
+    return off_out, plan
 
 
-def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
+def temporal_conv(x, w, stride: int = 1, bias=None, lengths=None) -> Array:
     """1-D convolution along time: x [T, Cin], w [k, Cin, Cout] -> [T', Cout].
 
-    Same-padding output length is ceil(T / stride), padded left-heavy.  A
-    ``bias`` [Cout] joins the same node, added to every output row.
+    Same-padding output length is ceil(T / stride), padded left-heavy.  With
+    segment ``lengths`` each segment is padded and strided on its own and
+    gets ceil(L / stride) output rows.  A ``bias`` [Cout] joins the same
+    node, added to every output row.  The node keeps only its input: the
+    backward assembles the window matrix again.
     """
     x, w = _as_array(x), _as_array(w)
     inputs = (x, w) if bias is None else (x, w, _as_array(bias))
@@ -498,15 +551,18 @@ def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
     k, wcin, cout = wd.shape
     if cin != wcin:
         raise ValueError(f"channel mismatch: input {cin}, weight {wcin}")
-    _check_conv_args(T, k, stride)
-    t_out, pad, pad_left = _conv_geometry(T, k, stride)
-    xp = np.zeros((T + pad, cin))
-    xp[pad_left : pad_left + T] = xd
-    # window t: the k*cin contiguous values from padded row t*stride on
-    windows = np.ndarray((t_out, k * cin), buffer=xp, strides=(stride * xp.strides[0], 8))
-    win2 = windows.copy()  # BLAS needs the contiguous copy
+    t_out, plan = _tap_slices(_segments(lengths, T), k, stride)
+
+    def windows():
+        # window t: the k*cin values under its taps, contiguous for BLAS
+        win = np.zeros((t_out, k, cin))
+        for j, pairs in enumerate(plan):
+            for rows_out, rows_in in pairs:
+                win[rows_out, j] = xd[rows_in]
+        return win.reshape(t_out, k * cin)
+
     wf = wd.reshape(k * cin, cout)
-    out_data = win2 @ wf
+    out_data = windows() @ wf
     if bias is not None:
         out_data += inputs[2].data  # in place on the fresh product: its sum's bits
     out = Array(out_data)
@@ -516,13 +572,13 @@ def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
             gx = None
             gw = None
             if _live(w):
-                gw = (win2.T @ g).reshape(k, cin, cout)
+                gw = (windows().T @ g).reshape(k, cin, cout)
             if _live(x):
                 gwin = (g @ wf.T).reshape(t_out, k, cin)
-                gxp = np.zeros((T + pad, cin))
-                for j in range(k):
-                    gxp[j : j + stride * t_out : stride] += gwin[:, j, :]
-                gx = gxp[pad_left : pad_left + T]
+                gx = np.zeros((T, cin))
+                for j, pairs in enumerate(plan):
+                    for rows_out, rows_in in pairs:
+                        gx[rows_in] += gwin[rows_out, j]
             gb = _unbroadcast(g, inputs[2].data.shape) if bias is not None else None
             return (gx, gw, gb)
 
@@ -530,14 +586,15 @@ def temporal_conv(x, w, stride: int = 1, bias=None) -> Array:
     return out
 
 
-def transposed_temporal_conv(x, w, length: int, stride: int = 1, bias=None) -> Array:
+def transposed_temporal_conv(x, w, length, stride: int = 1, bias=None) -> Array:
     """Exact adjoint of same-padded ``temporal_conv`` over ``length`` input rows.
 
     Maps x [T, Cout] to [length, Cin] for w [k, Cin, Cout], where T must equal
     ceil(length / stride), so that
     <transposed_temporal_conv(x, w, len(y)), y> == <x, temporal_conv(y, w)>
-    for any y with the same w and stride.  A ``bias`` [Cin] joins the same
-    node, added to every output row.
+    for any y with the same w and stride.  ``length`` may instead list the
+    output lengths of packed segments; x then packs ceil(L / stride) rows per
+    segment.  A ``bias`` [Cin] joins the same node, added to every output row.
     """
     x, w = _as_array(x), _as_array(w)
     inputs = (x, w) if bias is None else (x, w, _as_array(bias))
@@ -548,36 +605,80 @@ def transposed_temporal_conv(x, w, length: int, stride: int = 1, bias=None) -> A
     k, cin, cout = wd.shape
     if xcout != cout:
         raise ValueError(f"channel mismatch: input {xcout}, weight {cout}")
-    _check_conv_args(length, k, stride)
-    t_in, pad, pad_left = _conv_geometry(length, k, stride)
+    lengths = _segments(length)
+    t_in, plan = _tap_slices(lengths, k, stride)
     if T != t_in:
         raise ValueError(
             f"{T} input rows do not fit length {length} at stride {stride} (need {t_in})"
         )
-    vp = np.zeros((length + pad, cin))
-    for j in range(k):
-        vp[j : j + stride * T : stride] += xd @ wd[j].T
-    out_data = vp[pad_left : pad_left + length]
+    out_data = np.zeros((sum(lengths), cin))
+    for j, pairs in enumerate(plan):
+        taps = xd @ wd[j].T
+        for rows_x, rows_out in pairs:
+            out_data[rows_out] += taps[rows_x]
     if bias is not None:
         out_data += inputs[2].data  # in place on the fresh result: its sum's bits
     out = Array(out_data)
     if _tracing(*inputs):
 
         def grad_fn(g):
-            gp = np.zeros((length + pad, cin))
-            gp[pad_left : pad_left + length] = g
-            gx = None
-            gw = None
-            if _live(x):
-                gx = np.zeros((T, cout))
-                for j in range(k):
-                    gx += gp[j : j + stride * T : stride] @ wd[j]
-            if _live(w):
-                gw = np.empty_like(wd)
-                for j in range(k):
-                    gw[j] = gp[j : j + stride * T : stride].T @ xd
+            gx = np.zeros((T, cout)) if _live(x) else None
+            gw = np.empty_like(wd) if _live(w) else None
+            for j, pairs in enumerate(plan):
+                # the rows of g under tap j, zero where the tap reads padding
+                gj = np.zeros((T, cin))
+                for rows_x, rows_out in pairs:
+                    gj[rows_x] = g[rows_out]
+                if gx is not None:
+                    gx += gj @ wd[j]
+                if gw is not None:
+                    gw[j] = gj.T @ xd
             gb = _unbroadcast(g, inputs[2].data.shape) if bias is not None else None
             return (gx, gw, gb)
 
         _attach(out, inputs, grad_fn)
+    return out
+
+
+def segment_attention(q, k, v, scale: float, lengths=None) -> Array:
+    """softmax(scale * q k^T) v over rows, each row attending only to the
+    rows of its own segment: q, k [T, d], v [T, dv] -> [T, dv]."""
+    q, k, v = _as_array(q), _as_array(k), _as_array(v)
+    qd, kd, vd = q.data, k.data, v.data
+    T = qd.shape[0]
+    if qd.ndim != 2 or kd.shape != qd.shape or vd.ndim != 2 or vd.shape[0] != T:
+        raise ValueError(f"attention shape mismatch: {qd.shape}, {kd.shape}, {vd.shape}")
+    bounds = [0, *itertools.accumulate(_segments(lengths, T))]
+    spans = list(zip(bounds, bounds[1:]))
+    scale_arr = np.float64(scale)
+    out_data = np.empty((T, vd.shape[1]))
+    weights = []
+    for s, e in spans:
+        x = (qd[s:e] @ kd[s:e].T) * scale_arr
+        # softmax along each row, max-subtracted
+        m = x.max(axis=1, keepdims=True)
+        ex = np.exp(x - m)
+        y = ex / ex.sum(axis=1, keepdims=True)
+        out_data[s:e] = y @ vd[s:e]
+        weights.append(y)
+    out = Array(out_data)
+    if _tracing(q, k, v):
+
+        def grad_fn(g):
+            # dk is built transposed, so it is laid out as (q^T ds)^T would be
+            gq, gkt, gv = np.empty_like(qd), np.empty(kd.shape[::-1]), np.empty_like(vd)
+            for (s, e), y in zip(spans, weights):
+                gy = g[s:e] @ vd[s:e].T
+                gv[s:e] = y.T @ g[s:e]
+                gs = y * (gy - (gy * y).sum(axis=1, keepdims=True))
+                gs = gs * scale_arr
+                gq[s:e] = gs @ kd[s:e]
+                gkt[:, s:e] = qd[s:e].T @ gs
+            return (
+                gq if _live(q) else None,
+                gkt.T if _live(k) else None,
+                gv if _live(v) else None,
+            )
+
+        _attach(out, (q, k, v), grad_fn)
     return out

@@ -9,6 +9,11 @@ frozen deterministic text encoder stand-in.
 Every component draws its initial weights from an rng keyed by (seed,
 component name), so models that share a seed share parameters for the
 components they have in common.
+
+A forward pass runs a *pack*: one or more samples concatenated along time.
+Row-wise layers see the packed rows; every time-mixing layer takes the
+segment lengths of its level and stays inside each sample, so a sample's
+outputs do not depend on what it is packed with.
 """
 
 from __future__ import annotations
@@ -93,18 +98,34 @@ class Recognition:
 
     streams: dict  # {"v"|"k"|"o"|"c": [T', C] log-prob Array}
     block_feats: dict  # per-modality fused block outputs, feed the pyramid
+    block_lengths: list  # per block, the packed samples' segment lengths
     joint: Array  # [T', 3 * d_v] concatenation, feeds the adapters
 
 
 @dataclass
 class ModelOutputs:
+    """A pack's outputs; every T' axis packs the samples' rows in order."""
+
     streams: dict  # {"v"|"k"|"o"|"c": [T', C] log-prob Array}
+    lengths: tuple  # per sample, its T' rows of the head streams and feats
     spn_streams: list  # level-major: every branch's level 0 (T/4), then level 1 (T/2)
+    spn_lengths: list  # per pyramid stream, the samples' segment lengths
     gloss_space_feats: Array  # [T', d_j], feeds gloss-level alignment
     sentence_space_feats: Array  # [T', d_j], feeds sentence-level alignment
-    text: TextFeatures
-    text_token_feats: Array  # [N1, d_j], adapter output
-    text_sentence_feat: Array  # [1, d_j], adapter output at EOS
+    texts: list  # per sample, its TextFeatures
+    text_token_feats: Array  # [sum N1, d_j], adapter output, samples' tokens in order
+    text_sentence_feat: Array  # [n, d_j], adapter output at each sample's EOS
+
+    def rows(self, index: int) -> tuple:
+        """[start, stop) of sample ``index`` along T'."""
+        start = sum(self.lengths[:index])
+        return start, start + self.lengths[index]
+
+    def token_rows(self, index: int) -> tuple:
+        """[start, stop) of sample ``index``'s tokens in ``text_token_feats``."""
+        counts = [len(t.token_to_gloss) for t in self.texts]
+        start = sum(counts[:index])
+        return start, start + counts[index]
 
 
 @dataclass
@@ -117,11 +138,14 @@ class LossWeights:
 
 @dataclass
 class LossTerms:
-    total: Array
+    """A pack's weighted loss; the parts are unweighted sums over the pack."""
+
+    total: Array  # scalar, the one backward sweeps
     ctc: float
     spn: float
     gloss_align: float
     sentence_align: float
+    sample_totals: list  # each sample's weighted loss, in pack order
 
 
 class ParamStore:
@@ -161,8 +185,8 @@ class TemporalConv:
         self.b = store.new(f"{name}.b", np.zeros(d_out))
         self.stride = stride
 
-    def __call__(self, x: Array) -> Array:
-        return ndgrad.temporal_conv(x, self.w, stride=self.stride, bias=self.b)
+    def __call__(self, x: Array, lengths=None) -> Array:
+        return ndgrad.temporal_conv(x, self.w, stride=self.stride, bias=self.b, lengths=lengths)
 
 
 class TemporalUpsample:
@@ -170,7 +194,7 @@ class TemporalUpsample:
 
     Lifts [T, d] features onto ``length`` rows, the exact adjoint of a
     same-padded stride-``stride`` conv over ``length`` rows, so T must be
-    ceil(length / stride).
+    ceil(length / stride).  ``length`` may list packed segment lengths.
     """
 
     def __init__(self, store, rng, name, d, kernel=3, stride=1):
@@ -214,10 +238,10 @@ class TemporalHead:
         self.conv2 = TemporalConv(store, rng, f"{name}.conv2", d_hidden, d_hidden)
         self.cls = Linear(store, rng, f"{name}.cls", d_hidden, n_classes)
 
-    def __call__(self, x: Array) -> Array:
+    def __call__(self, x: Array, lengths=None) -> Array:
         h = ndgrad.gelu(self.lin(x))
-        h = ndgrad.gelu(self.conv1(h))
-        h = ndgrad.gelu(self.conv2(h))
+        h = ndgrad.gelu(self.conv1(h, lengths))
+        h = ndgrad.gelu(self.conv2(h, lengths))
         return ndgrad.log_softmax(self.cls(h), axis=1)
 
 
@@ -231,7 +255,7 @@ class MlpFusion:
     def __init__(self, store, rng, name, d):
         self.mlp = Mlp(store, rng, name, [3 * d, d, d, d], zero_last=True)
 
-    def __call__(self, hv, hk, ho):
+    def __call__(self, hv, hk, ho, lengths=None):
         m = self.mlp(ndgrad.concat([hv, hk, ho], axis=1))
         return ndgrad.add(hv, m), ndgrad.add(hk, m), ndgrad.add(ho, m)
 
@@ -240,8 +264,8 @@ class ConvFusion:
     def __init__(self, store, rng, name, d):
         self.conv = TemporalConv(store, rng, f"{name}.conv", 3 * d, d, zero_init=True)
 
-    def __call__(self, hv, hk, ho):
-        m = self.conv(ndgrad.concat([hv, hk, ho], axis=1))
+    def __call__(self, hv, hk, ho, lengths=None):
+        m = self.conv(ndgrad.concat([hv, hk, ho], axis=1), lengths)
         return ndgrad.add(hv, m), ndgrad.add(hk, m), ndgrad.add(ho, m)
 
 
@@ -249,7 +273,8 @@ class AttnFusion:
     """Pairwise cross attention, one shared projection set per site.
 
     Each modality adds the attention read-outs against the other two; the
-    output projection starts at zero (residual identity at init).
+    output projection starts at zero (residual identity at init).  A row
+    attends only to the rows of its own sample.
     """
 
     def __init__(self, store, rng, name, d):
@@ -260,18 +285,20 @@ class AttnFusion:
         self.wv = store.new(f"{name}.wv", rng.normal(0.0, scale, (d, d)))
         self.wo = store.new(f"{name}.wo", np.zeros((d, d)))
 
-    def _attend(self, query_src, kv_src):
+    def _attend(self, query_src, kv_src, lengths):
         q = ndgrad.matmul(query_src, self.wq)
         k = ndgrad.matmul(kv_src, self.wk)
         v = ndgrad.matmul(kv_src, self.wv)
-        scores = ndgrad.mul(ndgrad.matmul(q, ndgrad.transpose(k)), 1.0 / math.sqrt(self.d))
-        return ndgrad.matmul(ndgrad.matmul(ndgrad.softmax(scores, axis=1), v), self.wo)
+        read = ndgrad.segment_attention(q, k, v, 1.0 / math.sqrt(self.d), lengths)
+        return ndgrad.matmul(read, self.wo)
 
-    def __call__(self, hv, hk, ho):
+    def __call__(self, hv, hk, ho, lengths=None):
         outs = []
         triples = ((hv, hk, ho), (hk, hv, ho), (ho, hv, hk))
         for a, b, c in triples:
-            outs.append(ndgrad.add(ndgrad.add(a, self._attend(a, b)), self._attend(a, c)))
+            outs.append(
+                ndgrad.add(ndgrad.add(a, self._attend(a, b, lengths)), self._attend(a, c, lengths))
+            )
         return tuple(outs)
 
 
@@ -325,7 +352,7 @@ def _digest64(text: str) -> int:
 
 
 class Model:
-    """Full recognition network over one sample at a time."""
+    """Full recognition network over a pack of samples."""
 
     def __init__(self, cfg: ModelConfig, vocab: GlossVocab):
         if cfg.vocab_size != vocab.size:
@@ -418,86 +445,126 @@ class Model:
     def parameters(self) -> dict:
         return self.store.table
 
-    def _branches_fused(self, xv, xk, xo):
-        """All three branches with fusion between blocks; per-block features."""
+    def block_lengths(self, lengths) -> list:
+        """Per block, the segment lengths of its output: ceil(L / stride)."""
+        out = []
+        for stride in self.cfg.temporal_strides:
+            lengths = tuple(-(-n // stride) for n in lengths)
+            out.append(lengths)
+        return out
+
+    def _branches_fused(self, xv, xk, xo, lengths=None):
+        """All three branches with fusion between blocks; per-block features.
+
+        ``lengths`` are the packed samples' frame counts (default: one
+        sample of all rows).
+        """
         hs = {"v": xv, "k": xk, "o": xo}
+        lengths = (xv.data.shape[0],) if lengths is None else tuple(lengths)
         for m in ("v", "k", "o"):
-            if hs[m].data.shape[0] < 4:
-                raise ValueError("need at least 4 frames")
+            if hs[m].data.shape[0] != sum(lengths):
+                raise ValueError("every modality needs the same frame count")
+        if min(lengths) < 4:
+            raise ValueError("need at least 4 frames")
+        levels = self.block_lengths(lengths)
         feats = {"v": [], "k": [], "o": []}
         for b in range(self.cfg.blocks):
+            seg_in = levels[b - 1] if b else lengths
             for m in ("v", "k", "o"):
-                hs[m] = ndgrad.gelu(self.blocks[m][b](hs[m]))
+                hs[m] = ndgrad.gelu(self.blocks[m][b](hs[m], seg_in))
             if self.fusions and b < self.cfg.blocks - 1:
-                hs["v"], hs["k"], hs["o"] = self.fusions[b](hs["v"], hs["k"], hs["o"])
+                hs["v"], hs["k"], hs["o"] = self.fusions[b](hs["v"], hs["k"], hs["o"], levels[b])
             for m in ("v", "k", "o"):
                 feats[m].append(hs[m])
         return feats
 
-    def spn_forward(self, modality: str, block_feats) -> list:
+    def spn_forward(self, modality: str, block_feats, block_lengths=None) -> list:
         """Auxiliary log-prob streams from the top-down pyramid of one branch.
 
         Each level lifts the running top feature with a transposed conv onto
         the length of the next shallower block, adds that lateral
         element-wise and classifies with its own temporal head.
+        ``block_lengths`` gives each block's segment lengths (default: one
+        sample).
         """
         if len(block_feats) < self.cfg.spn_levels + 1:
             raise ValueError("pyramid needs spn_levels + 1 block outputs")
+        if block_lengths is None:
+            block_lengths = [(f.data.shape[0],) for f in block_feats]
         streams = []
         top = block_feats[-1]
         for lvl in range(self.cfg.spn_levels):
             lateral = block_feats[-(lvl + 2)]
-            raised = self.spn_ups[modality][lvl](top, lateral.data.shape[0])
+            lengths = block_lengths[-(lvl + 2)]
+            raised = self.spn_ups[modality][lvl](top, lengths)
             top = ndgrad.add(raised, lateral)
-            streams.append(self.spn_heads[modality][lvl](top))
+            streams.append(self.spn_heads[modality][lvl](top, lengths))
         return streams
 
-    def recognize(self, sample) -> Recognition:
-        """Branches, fusion and the four recognition heads: all decoding needs."""
-        xv = Array(sample.x_v)
-        xk = Array(sample.x_k)
-        xo = Array(sample.x_o)
-        feats = self._branches_fused(xv, xk, xo)
+    def recognize(self, *samples) -> Recognition:
+        """Branches, fusion and the four recognition heads: all decoding needs.
 
+        The samples run as one pack, concatenated along time.
+        """
+        lengths = tuple(s.x_v.shape[0] for s in samples)
+        xv, xk, xo = (
+            Array(np.concatenate([getattr(s, key) for s in samples]))
+            for key in ("x_v", "x_k", "x_o")
+        )
+        feats = self._branches_fused(xv, xk, xo, lengths)
+        levels = self.block_lengths(lengths)
+
+        top = levels[-1]
         joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]], axis=1)
-        streams = {key: self.heads[key](feats[key][-1]) for key in ("v", "k", "o")}
-        streams["c"] = self.heads["c"](joint)
-        return Recognition(streams=streams, block_feats=feats, joint=joint)
+        streams = {key: self.heads[key](feats[key][-1], top) for key in ("v", "k", "o")}
+        streams["c"] = self.heads["c"](joint, top)
+        return Recognition(streams=streams, block_feats=feats, block_lengths=levels, joint=joint)
 
-    def forward(self, sample) -> ModelOutputs:
-        """The recognition trunk plus the training-only pyramid and adapters."""
-        rec = self.recognize(sample)
-        per_branch = [self.spn_forward(m, rec.block_feats[m]) for m in ("v", "k", "o")]
+    def forward(self, *samples) -> ModelOutputs:
+        """The recognition trunk plus the training-only pyramid and adapters,
+        over the samples as one pack."""
+        rec = self.recognize(*samples)
+        levels = rec.block_lengths
+        per_branch = [self.spn_forward(m, rec.block_feats[m], levels) for m in ("v", "k", "o")]
         spn_streams = [s for level in zip(*per_branch) for s in level]
+        spn_lengths = [levels[-(lvl + 2)] for lvl in range(self.cfg.spn_levels) for _ in range(3)]
 
         gloss_feats = self.adapter_gloss(rec.joint)
         sentence_feats = self.adapter_sentence(rec.joint)
-        text = self.text_encoder.encode(sample.glosses)
-        text_tokens = self.adapter_text(text.features)
-        text_sentence = self.adapter_text(text.eos_feature)
+        texts = [self.text_encoder.encode(s.glosses) for s in samples]
+        tokens = np.concatenate([t.features.data for t in texts])
+        text_tokens = self.adapter_text(Array(tokens))
+        eos = np.concatenate([t.eos_feature.data for t in texts])
+        text_sentence = self.adapter_text(Array(eos))
 
         return ModelOutputs(
             streams=rec.streams,
+            lengths=levels[-1],
             spn_streams=spn_streams,
+            spn_lengths=spn_lengths,
             gloss_space_feats=gloss_feats,
             sentence_space_feats=sentence_feats,
-            text=text,
+            texts=texts,
             text_token_feats=text_tokens,
             text_sentence_feat=text_sentence,
         )
 
 
-def align_glosses(outputs: ModelOutputs, label_ids):
-    """Gloss-level alignment: (DTW path, its spans, visual-textual pair matrices).
+def align_glosses(outputs: ModelOutputs, label_ids, index: int = 0):
+    """Gloss-level alignment of packed sample ``index``: (DTW path, its spans,
+    visual-textual pair matrices).
 
     The path comes from the joint head's probabilities, detached from the
     tape, so gradient reaches the pooled features but not the path.
     """
-    prob_c = np.exp(outputs.streams["c"].data)  # detached copy
+    start, stop = outputs.rows(index)
+    prob_c = np.exp(outputs.streams["c"].data[start:stop])  # detached copy
     path = align_mod.dtw_align(align_mod.extract_columns(prob_c, label_ids))
     spans = align_mod.path_to_spans(path)
-    pooled_visual = align_mod.pool_visual(outputs.gloss_space_feats, spans)
-    pooled_text = align_mod.pool_tokens(outputs.text_token_feats, outputs.text.token_to_gloss)
+    pooled_visual = align_mod.pool_visual(outputs.gloss_space_feats, spans, (start, stop))
+    pooled_text = align_mod.pool_tokens(
+        outputs.text_token_feats, outputs.texts[index].token_to_gloss, outputs.token_rows(index)
+    )
     return path, spans, contrast.pair_matrices(pooled_visual, pooled_text)
 
 
@@ -507,39 +574,59 @@ def compute_losses(
     weights: LossWeights,
     include_align: bool = True,
 ) -> LossTerms:
-    """Recognition + auxiliary + alignment losses, weighted into one scalar."""
-    label_ids = list(label_ids)
+    """Recognition + auxiliary + alignment losses of a pack, weighted and
+    summed into one scalar.
 
-    # one recursion for the head and pyramid streams; each part sums in list order
+    ``label_ids`` holds one label sequence per packed sample; a pack of one
+    also takes its bare label sequence.
+    """
+    label_ids = list(label_ids)
+    if all(np.ndim(c) == 0 for c in label_ids):
+        label_ids = [label_ids]
+    label_ids = [list(labels) for labels in label_ids]
+    n = len(outputs.lengths)
+    if len(label_ids) != n:
+        raise ValueError(f"{len(label_ids)} label sequences for a pack of {n} samples")
+
+    # one recursion for every head and pyramid stream of every sample; each
+    # part sums its streams in list order, one [n] vector per part
     heads = [outputs.streams[k] for k in HEAD_KEYS]
-    terms = ctc_loss_group(heads + outputs.spn_streams, label_ids)
+    stream_lengths = [outputs.lengths] * len(heads) + outputs.spn_lengths
+    terms = ctc_loss_group(heads + outputs.spn_streams, label_ids, stream_lengths)
     terms_ctc = functools.reduce(ndgrad.add, terms[: len(heads)])
     spn = terms[len(heads) :]
     terms_spn = functools.reduce(ndgrad.add, spn) if spn else None
 
-    total = ndgrad.mul(terms_ctc, weights.ctc)
+    per_sample = ndgrad.mul(terms_ctc, weights.ctc)
     if terms_spn is not None:
-        total = ndgrad.add(total, ndgrad.mul(terms_spn, weights.spn))
+        per_sample = ndgrad.add(per_sample, ndgrad.mul(terms_spn, weights.spn))
+    total = ndgrad.reduce_sum(per_sample)
+    sample_totals = per_sample.data.tolist()
 
-    g_val = s_val = 0.0
+    g_vals, s_vals = [0.0] * n, [0.0] * n
     if include_align and (weights.gloss_align != 0.0 or weights.sentence_align != 0.0):
-        _, _, pairs = align_glosses(outputs, label_ids)
-        tgt = contrast.alignment_targets(label_ids)
-        loss_g = contrast.gloss_align_loss(pairs, tgt)
+        for i, labels in enumerate(label_ids):
+            _, _, pairs = align_glosses(outputs, labels, i)
+            loss_g = contrast.gloss_align_loss(pairs, contrast.alignment_targets(labels))
 
-        t_total = outputs.sentence_space_feats.data.shape[0]
-        visual_global = ndgrad.pool_spans(outputs.sentence_space_feats, [(0, t_total)])
-        loss_s = contrast.sentence_align_loss(visual_global, outputs.text_sentence_feat)
+            visual_global = ndgrad.pool_spans(outputs.sentence_space_feats, [outputs.rows(i)])
+            # the KL reads the text side as a constant
+            text_global = Array(outputs.text_sentence_feat.data[i : i + 1])
+            loss_s = contrast.sentence_align_loss(visual_global, text_global)
 
-        total = ndgrad.add(total, ndgrad.mul(loss_g, weights.gloss_align))
-        total = ndgrad.add(total, ndgrad.mul(loss_s, weights.sentence_align))
-        g_val = loss_g.item()
-        s_val = loss_s.item()
+            weighted_g = ndgrad.mul(loss_g, weights.gloss_align)
+            total = ndgrad.add(total, weighted_g)
+            weighted_s = ndgrad.mul(loss_s, weights.sentence_align)
+            total = ndgrad.add(total, weighted_s)
+            sample_totals[i] = sample_totals[i] + weighted_g.item() + weighted_s.item()
+            g_vals[i] = loss_g.item()
+            s_vals[i] = loss_s.item()
 
     return LossTerms(
         total=total,
-        ctc=terms_ctc.item(),
-        spn=terms_spn.item() if terms_spn is not None else 0.0,
-        gloss_align=g_val,
-        sentence_align=s_val,
+        ctc=sum(terms_ctc.data.tolist()),
+        spn=sum(terms_spn.data.tolist()) if terms_spn is not None else 0.0,
+        gloss_align=sum(g_vals),
+        sentence_align=sum(s_vals),
+        sample_totals=sample_totals,
     )

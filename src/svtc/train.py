@@ -3,6 +3,10 @@
 One process trains; per-epoch sample order, augmentation draws and the
 gradient reduction are all seeded and ordered, so a (seed, corpus, config)
 triple fully determines the metrics log and the checkpoint bytes.
+
+Training runs each batch as packs: consecutive samples concatenated along
+time, up to ``PACK_ROWS`` frames, one forward graph and one backward per
+pack.  The batch's gradients sum over its packs before one Adam step.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .ctc import (
     average_streams,
     aggregate_reports,
     beam_decode,
+    check_feasible,
     wer,
 )
 
@@ -32,6 +37,9 @@ _AUG_NS = 0xA716
 # frame-rate factor and (heatmap corpora only) spatial crop scale draws
 AUG_FACTOR_RANGE = (0.5, 1.5)
 CROP_SCALE_RANGE = (0.7, 1.0)
+# frames per training pack: a larger pack saves per-op overhead but holds a
+# larger graph, and the peak memory of a pack grows with its rows
+PACK_ROWS = 512
 
 
 @dataclass
@@ -220,6 +228,20 @@ def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg=None, gen
     return sample
 
 
+def packs(samples, max_rows: int):
+    """Consecutive runs of samples with at most ``max_rows`` frames in all;
+    a longer sample forms a pack of its own."""
+    pack, rows = [], 0
+    for sample in samples:
+        if pack and rows + sample.n_frames > max_rows:
+            yield pack
+            pack, rows = [], 0
+        pack.append(sample)
+        rows += sample.n_frames
+    if pack:
+        yield pack
+
+
 def model_for_corpus(meta: dict, **overrides) -> net.Model:
     """A model sized to a corpus's ``vocab.json``; ``overrides`` set ModelConfig fields."""
     vocab = GlossVocab(tuple(meta["glosses"]))
@@ -232,6 +254,22 @@ def model_for_corpus(meta: dict, **overrides) -> net.Model:
         **overrides,
     }
     return net.Model(net.ModelConfig(**cfg_kwargs), vocab)
+
+
+def _pack_losses(model, pack, weights, include_align, epoch) -> net.LossTerms:
+    """One pack's forward and losses; a non-finite value raises
+    FloatingPointError naming the epoch and the pack's samples."""
+    try:
+        outputs = model.forward(*pack)
+        terms = net.compute_losses(
+            outputs, [model.vocab.ids(s.glosses) for s in pack], weights, include_align
+        )
+        if not math.isfinite(terms.total.item()):
+            raise FloatingPointError(f"non-finite loss {terms.total.item()}")
+    except FloatingPointError as err:
+        ids = ", ".join(s.id for s in pack)
+        raise FloatingPointError(f"epoch {epoch}, samples {ids}: {err}") from None
+    return terms
 
 
 def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None = None):
@@ -275,32 +313,31 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None =
             n_seen = 0
             skipped = 0
             for start in range(0, len(order), tcfg.batch_size):
-                batch = order[start : start + tcfg.batch_size]
                 optimizer.zero_grad()
-                n_batch = 0
-                for idx in batch:
+                batch = []
+                for idx in order[start : start + tcfg.batch_size]:
                     sample = _augment(
                         train_samples[idx], tcfg, epoch, int(idx), hm_cfg, gen_seed
                     )
                     try:
-                        outputs = model.forward(sample)
-                        terms = net.compute_losses(
-                            outputs, vocab.ids(sample.glosses), weights, include_align
-                        )
-                        ndgrad.backward(terms.total)
+                        t_out = model.block_lengths((sample.n_frames,))[-1][0]
+                        check_feasible(vocab.ids(sample.glosses), t_out)
                     except CtcInfeasibleError as err:
                         skipped += 1
                         print(f"warning: skipping {sample.id}: {err}")
                         continue
-                    n_batch += 1
+                    batch.append(sample)
+                for pack in packs(batch, PACK_ROWS):
+                    terms = _pack_losses(model, pack, weights, include_align, epoch)
+                    ndgrad.backward(terms.total)
                     sums["total"] += terms.total.item()
                     sums["ctc"] += terms.ctc
                     sums["spn"] += terms.spn
                     sums["g"] += terms.gloss_align
                     sums["s"] += terms.sentence_align
-                if n_batch:
-                    optimizer.step(lr, tcfg.weight_decay, grad_scale=1.0 / n_batch)
-                n_seen += n_batch
+                if batch:
+                    optimizer.step(lr, tcfg.weight_decay, grad_scale=1.0 / len(batch))
+                n_seen += len(batch)
 
             dev_report, _ = evaluate_split(model, dev_pairs)
             record = {

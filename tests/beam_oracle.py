@@ -1,13 +1,16 @@
-"""Scalar prefix beam search: the reference the vectorized decoder must match.
+"""Reference decoders the vectorized beam search is checked against.
 
-It loops in Python over every class of every surviving prefix and ranks
-the whole candidate dict each frame.  Equivalence tests require exact list
-equality with :func:`svtc.ctc.beam_decode`.
+The scalar prefix beam search loops in Python over every class of every
+surviving prefix and ranks the whole candidate dict each frame; equivalence
+tests require exact list equality with :func:`svtc.ctc.beam_decode`.  Greedy
+decoding is the width-1 limit of both.
 """
 
 import math
 
-from svtc.ctc import BLANK, _lae
+import numpy as np
+
+from svtc.ctc import BLANK, _lae, collapse
 
 _NEG_INF = -math.inf
 
@@ -46,3 +49,9 @@ def reference_beam_decode(stream, width=5):
         beams = nxt
     best = min(beams.items(), key=lambda kv: (-_lae(*kv[1]), kv[0]))
     return list(best[0])
+
+
+def greedy_decode(stream):
+    """Per-frame argmax (ties to the lower class id), collapsed."""
+    ids = np.argmax(stream.prob_matrix(), axis=1)
+    return collapse(int(c) for c in ids)

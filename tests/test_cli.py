@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -78,6 +79,15 @@ class TestGenDataCommand:
         assert "error: unknown heatmap config keys: ['bogus']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_wrongly_typed_value_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"n_train": "8"}))
+        assert main(["gen-data", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
+        assert "error: generation config key 'n_train' must be an integer, got '8'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("use_heatmaps", [False, True])
     def test_non_object_heatmap_is_usage_error(self, tmp_path, capsys, use_heatmaps):
         cfg_path = tmp_path / "gen.json"
@@ -128,6 +138,62 @@ class TestTrainLoop:
         assert a.epochs[0]["loss_total"] == b.epochs[0]["loss_total"]
         assert Path(a.metrics_path).read_bytes() == Path(b.metrics_path).read_bytes()
 
+    def test_packs_cap_rows_and_keep_order(self):
+        samples = [SimpleNamespace(n_frames=n) for n in (200, 300, 20, 600, 10, 10)]
+        got = [[s.n_frames for s in pack] for pack in train_mod.packs(samples, 512)]
+        assert got == [[200, 300], [20], [600], [10, 10]]
+
+    def test_packed_batches_match_packs_of_one(self, tiny_corpus, tmp_path, monkeypatch, capsys):
+        # one sample cut to 8 frames cannot align its glosses: it is skipped
+        # with a warning before packing, and packing changes no loss beyond
+        # rounding
+        load = synthdata.load_split
+
+        def with_short_sample(corpus, split):
+            pairs = load(corpus, split)
+            if split == "train":
+                s, rec = pairs[1]
+                cut = {k: getattr(s, k)[:8] for k in ("x_v", "x_k", "x_o")}
+                pairs[1] = (replace(s, glosses=s.glosses * 2, **cut), rec)
+            return pairs
+
+        monkeypatch.setattr(synthdata, "load_split", with_short_sample)
+        tcfg = TrainConfig(epochs=2, align_warmup_epochs=0, seed=4, frame_rate_aug=False)
+        runs = {}
+        for rows in (512, 1):
+            monkeypatch.setattr(train_mod, "PACK_ROWS", rows)
+            runs[rows] = train(tiny_corpus, tmp_path / str(rows), tcfg)
+        out = capsys.readouterr().out
+        assert out.count("warning: skipping") == 4
+        for packed, alone in zip(runs[512].epochs, runs[1].epochs):
+            assert packed["skipped"] == alone["skipped"] == 1
+            for key in ("loss_total", "loss_ctc", "loss_spn", "loss_align_g", "loss_align_s"):
+                assert packed[key] == pytest.approx(alone[key], rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_loss_stops_before_any_step(self, tiny_corpus, tmp_path, monkeypatch):
+        made = []
+        build = train_mod.model_for_corpus
+
+        def with_nan_head(meta, **kw):
+            model = build(meta, **kw)
+            model.heads["v"].cls.w.data[0, 0] = math.nan
+            made.append((model, {n: p.data.tobytes() for n, p in model.parameters().items()}))
+            return model
+
+        monkeypatch.setattr(train_mod, "model_for_corpus", with_nan_head)
+        tcfg = TrainConfig(epochs=1, align_warmup_epochs=0, seed=1)
+        with pytest.raises(FloatingPointError, match=r"^epoch 0, samples (\S+, )*\S+: ") as err:
+            train(tiny_corpus, tmp_path / "r", tcfg)
+        train_ids = {s.id for s, _ in synthdata.load_split(tiny_corpus, "train")}
+        named = str(err.value).split(": ")[0].removeprefix("epoch 0, samples ").split(", ")
+        assert set(named) <= train_ids
+        model, before = made[0]
+        assert {n: p.data.tobytes() for n, p in model.parameters().items()} == before
+
+        argv = ["train", "--corpus", str(tiny_corpus), "--out", str(tmp_path / "c")]
+        assert main(argv + ["--epochs", "1"]) == 2
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -173,6 +239,28 @@ class TestTrainConfigFile:
     def test_retired_train_key_is_usage_error(self, tmp_path, capsys, no_training, key):
         assert self.run_with(tmp_path, {"train": {key: 1}}) == 1
         assert f"error: unknown train config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"train": {"epochs": "3"}}, "train config key 'epochs' must be an integer, got '3'"),
+            ({"train": {"epochs": True}}, "train config key 'epochs' must be an integer, got True"),
+            ({"model": {"d_v": "8"}}, "model config key 'd_v' must be an integer, got '8'"),
+            ({"train": {"lr0": "0.1"}}, "train config key 'lr0' must be a number, got '0.1'"),
+            ({"train": {"fusion": 1}}, "train config key 'fusion' must be a string, got 1"),
+            ({"train": {"frame_rate_aug": 0}}, "train config key 'frame_rate_aug' must be true"),
+            ({"model": {"temporal_strides": 4}}, "model config key 'temporal_strides' must be an"),
+        ],
+    )
+    def test_wrongly_typed_value_is_usage_error(
+        self, tmp_path, capsys, no_training, config, message
+    ):
+        assert self.run_with(tmp_path, config) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_integer_for_float_field_accepted(self, tiny_corpus, tmp_path):
+        config = {"train": {"epochs": 1, "align_warmup_epochs": 0, "lr0": 0, "lambda_g": 1}}
+        assert self.run_with(tmp_path, config, tiny_corpus) == 0
 
     def test_nan_in_config_file_is_a_data_error(self, tmp_path, capsys, no_training):
         # json.load accepts NaN, so TrainConfig itself must reject it

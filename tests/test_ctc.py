@@ -19,13 +19,12 @@ from svtc.ctc import (
     collapse,
     ctc_loss,
     ctc_loss_group,
-    greedy_decode,
     wer,
 )
 from svtc.gradcheck import finite_difference_grads
 from svtc.ndgrad import Array
 
-from beam_oracle import reference_beam_decode
+from beam_oracle import greedy_decode, reference_beam_decode
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +216,9 @@ class TestCtcLoss:
         rng = np.random.default_rng(41)
         lengths = [7, 12, 7, 9, 12]
         arrays = [Array(np.log(random_stream(rng, T, 4)), grad_tracked=True) for T in lengths]
-        terms = ctc_loss_group(arrays, labels)
-        ng.backward(ng.add(ng.add(ng.add(ng.add(terms[0], terms[1]), terms[2]), terms[3]), terms[4]))
+        terms = ctc_loss_group(arrays, [labels])
+        total = ng.add(ng.add(ng.add(ng.add(terms[0], terms[1]), terms[2]), terms[3]), terms[4])
+        ng.backward(ng.reduce_sum(total))
         for a, term in zip(arrays, terms):
             want_loss, want_grad = two_pass_ctc(a.data, labels)
             assert term.data.tobytes() == np.float64(want_loss).tobytes()
@@ -232,20 +232,49 @@ class TestCtcLoss:
         lengths = [8] * 4 + [8, 8, 8, 15, 15, 15]
         grouped = [Array(np.log(random_stream(rng, T, 5)), grad_tracked=True) for T in lengths]
         alone = [Array(a.data.copy(), grad_tracked=True) for a in grouped]
-        terms = ctc_loss_group(grouped, labels)
+        terms = ctc_loss_group(grouped, [labels])
         for term in terms:
-            ng.backward(term)
+            ng.backward(ng.reduce_sum(term))
         for a, b, term in zip(grouped, alone, terms):
             want = ctc_loss(b, labels)
             ng.backward(want)
             assert term.data.tobytes() == want.data.tobytes()
             assert a.grad.tobytes() == b.grad.tobytes()
 
+    def test_packed_mixed_label_group_bitwise_equals_lone_losses(self):
+        # two arrays, each packing three samples with their own labels: every
+        # (array, sample) stream must give the bytes of a lone ctc_loss
+        rng = np.random.default_rng(44)
+        labels = [[2], [1, 3, 3], [3, 1, 2, 1]]
+        lengths = [(3, 7, 9), (6, 13, 17)]
+        arrays = [
+            Array(np.log(random_stream(rng, sum(lens), 5)), grad_tracked=True)
+            for lens in lengths
+        ]
+        losses = ctc_loss_group(arrays, labels, lengths)
+        ng.backward(ng.reduce_sum(ng.add(losses[0], losses[1])))
+        for a, lens, loss in zip(arrays, lengths, losses):
+            start = 0
+            for i, n in enumerate(lens):
+                alone = Array(a.data[start : start + n], grad_tracked=True)
+                want = ctc_loss(alone, labels[i])
+                ng.backward(want)
+                assert loss.data[i].tobytes() == want.data.tobytes()
+                assert a.grad[start : start + n].tobytes() == alone.grad.tobytes()
+                start += n
+
+    def test_packed_group_rejects_bad_lengths_and_names_infeasible(self):
+        a = Array(np.log(random_stream(np.random.default_rng(45), 9, 4)))
+        with pytest.raises(ValueError, match="do not fit"):
+            ctc_loss_group([a], [[1], [2]], [(4, 4)])
+        with pytest.raises(CtcInfeasibleError, match="needs at least 3 frames, stream has 2"):
+            ctc_loss_group([a], [[1], [2, 3, 1]], [(7, 2)])
+
     def test_group_matches_individual(self):
         rng = np.random.default_rng(13)
         labels = [2, 1, 1]
         arrays = [Array(np.log(random_stream(rng, 7, 4))) for _ in range(5)]
-        grouped = ctc_loss_group(arrays, labels)
+        grouped = ctc_loss_group(arrays, [labels])
         for a, g in zip(arrays, grouped):
             assert g.item() == pytest.approx(ctc_loss(a, labels).item(), abs=1e-12)
 

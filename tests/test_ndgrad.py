@@ -5,6 +5,9 @@ Gradient oracles are central finite differences (h=1e-5) from
 they check.
 """
 
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,147 @@ class TestTemporalConv:
             ng.temporal_conv(Array(np.ones((0, 1))), w)
         with pytest.raises(ValueError):
             ng.temporal_conv(Array(np.ones((4, 1))), Array(np.ones((2, 1, 1))))
+
+
+def same_padded(x, T, k, stride):
+    """The zero-padded input and output count of a one-segment conv."""
+    t_out = -(-T // stride)
+    pad = max((t_out - 1) * stride + k - T, 0)
+    xp = np.zeros((T + pad, x.shape[1]))
+    xp[(pad + 1) // 2 : (pad + 1) // 2 + T] = x
+    return xp, t_out, pad, (pad + 1) // 2
+
+
+class TestPackedConv:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("T", [1, 4, 7, 14, 55])
+    def test_one_segment_gradients_bitwise_equal_strided_window_formulas(self, T, stride):
+        # the tap-slice windows and gradients of a one-segment conv must give the
+        # bytes of the padded strided-window expressions
+        rng = np.random.default_rng(47)
+        k, cin, cout = 3, 12, 5
+        x0, w0 = rng.standard_normal((T, cin)), rng.standard_normal((k, cin, cout))
+        x, w = Array(x0, grad_tracked=True), Array(w0, grad_tracked=True)
+        out = ng.temporal_conv(x, w, stride=stride)
+        g = rng.standard_normal(out.data.shape)
+        ng.backward(ng.reduce_sum(ng.mul(out, g)))
+        xp, t_out, pad, pl = same_padded(x0, T, k, stride)
+        win = np.ndarray((t_out, k * cin), buffer=xp, strides=(stride * xp.strides[0], 8)).copy()
+        wf = w0.reshape(k * cin, cout)
+        assert out.data.tobytes() == (win @ wf).tobytes()
+        assert w.grad.tobytes() == (win.T @ g).reshape(k, cin, cout).tobytes()
+        gwin = (g @ wf.T).reshape(t_out, k, cin)
+        gxp = np.zeros((T + pad, cin))
+        for j in range(k):
+            gxp[j : j + stride * t_out : stride] += gwin[:, j, :]
+        assert x.grad.tobytes() == gxp[pl : pl + T].tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_segments_match_separate_convs(self, stride):
+        # lengths 8..11 cover every remainder mod 4; each segment pads alone
+        rng = np.random.default_rng(48)
+        lengths = (8, 9, 10, 11, 1)
+        w0, b0 = rng.standard_normal((3, 4, 2)), rng.standard_normal(2)
+        xs = [rng.standard_normal((n, 4)) for n in lengths]
+        packed = ng.temporal_conv(Array(np.concatenate(xs)), Array(w0), stride, b0, lengths)
+        alone = [ng.temporal_conv(Array(x), Array(w0), stride, b0).data for x in xs]
+        np.testing.assert_allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
+
+    def test_segment_lengths_must_cover_rows(self):
+        w = Array(np.ones((3, 1, 1)))
+        with pytest.raises(ValueError, match="do not add up"):
+            ng.temporal_conv(Array(np.ones((5, 1))), w, lengths=(2, 2))
+        with pytest.raises(ValueError):
+            ng.temporal_conv(Array(np.ones((5, 1))), w, lengths=(5, 0))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("length", [1, 5, 8, 13])
+    def test_one_segment_upsample_bitwise_equals_strided_formulas(self, length, stride):
+        rng = np.random.default_rng(49)
+        k, cin, cout = 3, 6, 4
+        T = -(-length // stride)
+        x0, w0 = rng.standard_normal((T, cout)), rng.standard_normal((k, cin, cout))
+        x, w = Array(x0, grad_tracked=True), Array(w0, grad_tracked=True)
+        out = ng.transposed_temporal_conv(x, w, length, stride=stride)
+        g = rng.standard_normal((length, cin))
+        ng.backward(ng.reduce_sum(ng.mul(out, g)))
+        _, _, pad, pl = same_padded(np.zeros((length, 1)), length, k, stride)
+        vp = np.zeros((length + pad, cin))
+        for j in range(k):
+            vp[j : j + stride * T : stride] += x0 @ w0[j].T
+        assert out.data.tobytes() == vp[pl : pl + length].tobytes()
+        gp = np.zeros((length + pad, cin))
+        gp[pl : pl + length] = g
+        gx = np.zeros((T, cout))
+        gw = np.empty_like(w0)
+        for j in range(k):
+            gx += gp[j : j + stride * T : stride] @ w0[j]
+            gw[j] = gp[j : j + stride * T : stride].T @ x0
+        assert x.grad.tobytes() == gx.tobytes()
+        assert w.grad.tobytes() == gw.tobytes()
+
+    def test_packed_upsample_matches_separate_and_stays_adjoint(self):
+        rng = np.random.default_rng(50)
+        lengths, stride = (7, 5, 9), 2
+        w0 = rng.standard_normal((3, 3, 2))
+        xs = [rng.standard_normal((-(-n // stride), 2)) for n in lengths]
+        x = Array(np.concatenate(xs))
+        packed = ng.transposed_temporal_conv(x, Array(w0), lengths, stride)
+        alone = [
+            ng.transposed_temporal_conv(Array(x), Array(w0), n, stride).data
+            for x, n in zip(xs, lengths)
+        ]
+        np.testing.assert_allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
+        y = rng.standard_normal((sum(lengths), 3))
+        conv = ng.temporal_conv(Array(y), Array(w0), stride, lengths=lengths)
+        lhs = float((packed.data * y).sum())
+        rhs = float((x.data * conv.data).sum())
+        assert abs(lhs - rhs) <= 1e-10
+
+
+def attention_chain(q, k, v, scale):
+    """The op-by-op attention a one-segment ``segment_attention`` must match."""
+    scores = ng.mul(ng.matmul(q, ng.transpose(k)), scale)
+    return ng.matmul(ng.softmax(scores, axis=1), v)
+
+
+class TestSegmentAttention:
+    def test_one_segment_bitwise_equals_op_chain(self):
+        rng = np.random.default_rng(51)
+        d, T = 8, 11
+        src, wo = rng.standard_normal((T, d)), rng.standard_normal((d, d))
+        projections = rng.standard_normal((3, d, d))
+        results = []
+        for fused in (True, False):
+            x = Array(src, grad_tracked=True)
+            wq, wk, wv = (Array(p, grad_tracked=True) for p in projections)
+            q, k, v = ng.matmul(x, wq), ng.matmul(x, wk), ng.matmul(x, wv)
+            attend = ng.segment_attention if fused else attention_chain
+            read = attend(q, k, v, 1.0 / math.sqrt(d))
+            ng.backward(ng.reduce_sum(ng.gelu(ng.matmul(read, Array(wo)))))
+            results.append([read.data.tobytes()] + [a.grad.tobytes() for a in (x, wq, wk, wv)])
+        assert results[0] == results[1]
+
+    def test_rows_attend_only_inside_their_segment(self):
+        rng = np.random.default_rng(53)
+        lengths = (3, 6, 1)
+        q, k, v = (rng.standard_normal((10, 4)) for _ in range(3))
+        packed = ng.segment_attention(Array(q), Array(k), Array(v), 0.5, lengths).data
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            alone = attention_chain(Array(q[rows]), Array(k[rows]), Array(v[rows]), 0.5).data
+            np.testing.assert_allclose(packed[rows], alone, rtol=0, atol=1e-12)
+            start += n
+
+    def test_gradient(self):
+        rng = np.random.default_rng(54)
+        q, k, v = (Array(rng.standard_normal((7, 3)), grad_tracked=True) for _ in range(3))
+        proj = Array(rng.standard_normal((7, 3)))
+        check_grads(
+            lambda: ng.reduce_sum(ng.mul(ng.segment_attention(q, k, v, 0.7, (2, 5)), proj)),
+            [q, k, v],
+        )
 
 
 class TestTransposedTemporalConv:
@@ -353,6 +497,27 @@ class TestBackward:
         loss = ng.reduce_sum(ng.mul(Array(y.data), x))
         ng.backward(loss)
         np.testing.assert_allclose(x.grad, y.data)  # only the outer factor
+
+    def test_backward_through_a_swept_node_raises(self):
+        x = Array(np.ones(3), grad_tracked=True)
+        y = ng.mul(x, x)
+        ng.backward(ng.reduce_sum(y))
+        with pytest.raises(RuntimeError, match="earlier backward freed"):
+            ng.backward(ng.reduce_sum(ng.mul(y, 2.0)))
+
+    def test_sweep_frees_saved_arrays(self):
+        rng = np.random.default_rng(55)
+        x = Array(rng.standard_normal((4, 3)), grad_tracked=True)
+        w = Array(rng.standard_normal((3, 3)), grad_tracked=True)
+
+        def build():
+            hidden = ng.matmul(x, w)  # gelu's closure saves hidden.data
+            return ng.reduce_sum(ng.gelu(hidden)), weakref.ref(hidden.data)
+
+        loss, saved = build()
+        assert saved() is not None  # only the graph holds it
+        ng.backward(loss)
+        assert saved() is None
 
     def test_grad_accumulates_across_losses(self):
         x = Array(np.ones(2), grad_tracked=True)

@@ -425,6 +425,71 @@ class TestTotalLoss:
         assert terms.gloss_align == 0.0 and terms.sentence_align == 0.0
 
 
+class TestPacking:
+    # frame counts 16..19 cover every remainder mod 4 of the T/4 reduction
+    GLOSSES = (("G01", "G03", "G02"), ("G02", "G02"), ("G04",), ("G05", "G01", "G06", "G02"))
+
+    def pack_and_model(self, kind):
+        model = Model(small_cfg(fusion_kind=kind), VOCAB)
+        rng = np.random.default_rng(6)
+        for p in model.parameters().values():  # move the zero-init fusion outputs
+            p.data = p.data + 0.2 * rng.standard_normal(p.data.shape)
+        samples = [
+            make_sample(T=16 + i, glosses=g, seed=i) for i, g in enumerate(self.GLOSSES)
+        ]
+        return model, samples
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv", "attn", "none"])
+    def test_pack_matches_packs_of_one(self, kind):
+        model, samples = self.pack_and_model(kind)
+        params = list(model.parameters().values())
+
+        def run(packs):
+            for p in params:
+                p.grad = None
+            totals = []
+            for pack in packs:
+                outputs = model.forward(*pack)
+                ids = [VOCAB.ids(s.glosses) for s in pack]
+                terms = compute_losses(outputs, ids, LossWeights(), include_align=True)
+                ng.backward(terms.total)
+                totals += terms.sample_totals
+            return totals, [p.grad for p in params]
+
+        packed, packed_grads = run([samples])
+        alone, alone_grads = run([[s] for s in samples])
+        np.testing.assert_allclose(packed, alone, rtol=1e-9, atol=0)
+        for a, b in zip(packed_grads, alone_grads):
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    def test_packed_outputs_and_alignments_match_single_runs(self):
+        model, samples = self.pack_and_model("attn")
+        with ng.no_grad():
+            packed = model.forward(*samples)
+            for i, sample in enumerate(samples):
+                alone = model.forward(sample)
+                start, stop = packed.rows(i)
+                assert stop - start == alone.lengths[0]
+                np.testing.assert_allclose(
+                    packed.streams["c"].data[start:stop], alone.streams["c"].data, atol=1e-12
+                )
+                ids = VOCAB.ids(sample.glosses)
+                path, spans, pairs = net.align_glosses(packed, ids, i)
+                want_path, want_spans, want_pairs = net.align_glosses(alone, ids)
+                assert path.assignment == want_path.assignment and spans == want_spans
+                np.testing.assert_allclose(pairs.v2t.data, want_pairs.v2t.data, atol=1e-12)
+
+    def test_pack_of_one_takes_bare_labels(self):
+        model = Model(small_cfg(), VOCAB)
+        sample = make_sample()
+        ids = VOCAB.ids(sample.glosses)
+        bare = compute_losses(model.forward(sample), ids, LossWeights())
+        nested = compute_losses(model.forward(sample), [ids], LossWeights())
+        assert bare.total.item() == nested.total.item() == bare.sample_totals[0]
+        with pytest.raises(ValueError, match="2 label sequences for a pack of 1"):
+            compute_losses(model.forward(sample), [ids, ids], LossWeights())
+
+
 class TestFullModelGradcheck:
     def test_micro_config_total_loss(self):
         from svtc.gradcheck import compare_grads, micro_model
