@@ -38,14 +38,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _finite_float(text: str) -> float:
@@ -72,14 +79,18 @@ _JSON_KINDS = {
     "tuple": ((list,), "an array"),
 }
 
+# the ModelConfig fields a train config's "model" section may set
+_MODEL_KEYS = ("d_v", "d_t", "d_j")
 
-def _dataclass_from(cls, data: dict, label: str, build: bool = True):
+
+def _dataclass_from(cls, data: dict, label: str, keys=None):
     """``cls(**data)`` after rejecting a non-object, unknown keys or a value
-    of the wrong JSON kind as usage errors."""
+    of the wrong JSON kind as usage errors.  Given ``keys``, only those
+    fields are accepted and the checked dict is returned unbuilt."""
     if not isinstance(data, dict):
         kind = type(data).__name__
         raise UsageError(f"unknown {label} config keys: expected an object, got {kind}")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    unknown = set(data) - set(keys or (f.name for f in fields(cls)))
     if unknown:
         raise UsageError(f"unknown {label} config keys: {sorted(unknown)}")
     for f in fields(cls):
@@ -89,7 +100,7 @@ def _dataclass_from(cls, data: dict, label: str, build: bool = True):
         value = data[f.name]
         if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
             raise UsageError(f"{label} config key {f.name!r} must be {what}, got {value!r}")
-    return cls(**data) if build else data
+    return data if keys else cls(**data)
 
 
 def build_parser() -> _Parser:
@@ -97,7 +108,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument(
+        "--seed", type=_non_negative_int, default=None, help="override the config seed"
+    )
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory")
 
@@ -110,12 +123,12 @@ def build_parser() -> _Parser:
     p.add_argument("--lr0", type=_finite_float, default=None)
     p.add_argument("--weight-decay", type=_finite_float, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.add_argument("--align-warmup", type=int, default=None)
+    p.add_argument("--align-warmup", type=_non_negative_int, default=None)
     p.add_argument("--lambda-ctc", type=_finite_float, default=None)
     p.add_argument("--lambda-spn", type=_finite_float, default=None)
     p.add_argument("--lambda-g", type=_finite_float, default=None)
     p.add_argument("--lambda-s", type=_finite_float, default=None)
-    p.add_argument("--fusion", choices=["mlp", "conv", "attn"], default=None)
+    p.add_argument("--fusion", choices=["mlp", "conv", "attn", "none"], default=None)
     p.add_argument("--no-frame-rate-aug", action="store_true")
 
     for name, help_text in (
@@ -184,8 +197,9 @@ def cmd_train(args) -> int:
         raise UsageError("train requires --out")
     raw = _load_json(args.config) if args.config else {}
     tcfg = _train_config(args, raw)
-    model_overrides = _dataclass_from(net.ModelConfig, raw.get("model", {}), "model", build=False)
-    artifacts = train_mod.train(args.corpus, args.out, tcfg, model_overrides)
+    # fusion and seed come from the train settings, sizes from the corpus
+    widths = _dataclass_from(net.ModelConfig, raw.get("model", {}), "model", _MODEL_KEYS)
+    artifacts = train_mod.train(args.corpus, args.out, tcfg, widths)
     print(
         f"best dev WER {artifacts.best_dev_wer:.4f}; "
         f"checkpoint at {artifacts.checkpoint_path}"

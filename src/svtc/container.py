@@ -44,7 +44,7 @@ def load_tensors(path) -> dict:
 
     Every malformed file raises :class:`ContainerError`: bad magic or version,
     truncation anywhere, a name that is not UTF-8 or repeats an earlier one,
-    or bytes past the last tensor.
+    a shape numpy cannot hold, or bytes past the last tensor.
     """
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
@@ -84,7 +84,10 @@ def load_tensors(path) -> dict:
             end = off + 8 * n
             if end > len(buf):
                 raise ContainerError(f"truncated payload for {name!r}")
-            arr = np.frombuffer(buf[off:end], dtype="<f8").reshape(shape)
+            try:
+                arr = np.frombuffer(buf[off:end], dtype="<f8").reshape(shape)
+            except ValueError as err:  # rank or extents numpy cannot hold
+                raise ContainerError(f"bad shape {shape} for {name!r} in {path}: {err}") from None
             out[name] = arr.astype(np.float64)
             off = end
     except struct.error as err:

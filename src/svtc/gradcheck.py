@@ -170,10 +170,6 @@ def _scalar_checks(seed: int):
             [a, b],
         )
 
-    def b_softmax(rng):
-        x = _leaf(rng, (4, 5))
-        return with_weights(rng, lambda: ndgrad.softmax(x, axis=1), [x])
-
     def b_log_softmax(rng):
         x = _leaf(rng, (4, 5))
         return with_weights(rng, lambda: ndgrad.log_softmax(x, axis=1), [x])
@@ -224,7 +220,6 @@ def _scalar_checks(seed: int):
     register("segment_attention", b_attention)
     register("gelu", b_gelu)
     register("elementwise_chain", b_elementwise)
-    register("softmax", b_softmax)
     register("log_softmax", b_log_softmax)
     register("pool_spans", b_pool)
     register("ctc_loss", b_ctc)
@@ -249,7 +244,6 @@ def micro_model() -> tuple:
         d_v=1,
         d_t=2,
         d_j=1,
-        d_head=1,
         in_dim_v=2,
         in_dim_k=2,
         in_dim_o=2,

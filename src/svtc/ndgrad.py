@@ -13,8 +13,8 @@ several sequences end to end, and convolution and attention then stay
 inside each one, as if each ran alone.
 
 Numerical policy: everything is float64.  Operations never mutate their
-inputs.  ``softmax``/``log_softmax`` are computed with max-subtraction and
-cannot overflow on finite input.
+inputs.  ``log_softmax`` and the attention softmax are computed with
+max-subtraction and cannot overflow on finite input.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "matmul",
     "transpose",
     "concat",
-    "softmax",
     "log_softmax",
     "reduce_sum",
     "pool_spans",
@@ -385,7 +384,7 @@ def concat(arrays, axis: int = 0) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# reductions, softmax, pooling
+# reductions, log-softmax, pooling
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Array:
@@ -399,25 +398,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Array:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
-
-        _attach(out, (a,), grad_fn)
-    return out
-
-
-def softmax(a, axis: int = -1) -> Array:
-    a = _as_array(a)
-    x = a.data
-    if x.shape[axis] < 1:
-        raise ValueError("softmax needs a nonempty axis")
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Array(y)
-    if _tracing(a):
-
-        def grad_fn(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            return (y * (g - dot),)
 
         _attach(out, (a,), grad_fn)
     return out

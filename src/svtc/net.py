@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,40 +48,27 @@ def _stable_parity(text: str) -> int:
 @dataclass
 class ModelConfig:
     vocab_size: int  # C, including blank
-    d_v: int = 64
+    d_v: int = 64  # branch, fusion and head width
     d_t: int = 32
     d_j: int = 32
-    d_head: int = 0  # 0 means "use d_v"
     in_dim_v: int = 16
     in_dim_k: int = 12
     in_dim_o: int = 16
     fusion_kind: str = "mlp"  # mlp | conv | attn | none
-    blocks: int = 4
-    temporal_strides: tuple = (1, 2, 2, 1)
-    spn_levels: int = 2
     seed: int = 0
 
+    # the one shape: a block per stride, features at T/4, a pyramid over
+    # the last spn_levels + 1 blocks
+    temporal_strides: ClassVar[tuple] = (1, 2, 2, 1)
+    spn_levels: ClassVar[int] = 2
+
     def __post_init__(self):
-        self.temporal_strides = tuple(int(s) for s in self.temporal_strides)
         if self.vocab_size < 2:
             raise ValueError("vocabulary must contain blank plus one gloss")
         if min(self.d_v, self.d_t, self.d_j) <= 0:
             raise ValueError("hidden dimensions must be positive")
-        if len(self.temporal_strides) != self.blocks:
-            raise ValueError("one stride per block required")
-        if math.prod(self.temporal_strides) != 4:
-            raise ValueError("temporal strides must multiply to 4 (features at T/4)")
         if self.fusion_kind not in ("mlp", "conv", "attn", "none"):
             raise ValueError(f"unknown fusion kind: {self.fusion_kind!r}")
-        if self.spn_levels + 1 > self.blocks:
-            raise ValueError("pyramid needs spn_levels + 1 block outputs")
-        if self.d_head == 0:
-            self.d_head = self.d_v
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["temporal_strides"] = list(self.temporal_strides)
-        return d
 
 
 @dataclass
@@ -379,7 +367,7 @@ class Model:
         self.fusions = []
         if cfg.fusion_kind != "none":
             fusion_cls = _FUSIONS[cfg.fusion_kind]
-            for site in range(cfg.blocks - 1):
+            for site in range(len(cfg.temporal_strides) - 1):
                 name = f"fuse{site}"
                 self.fusions.append(
                     fusion_cls(self.store, _name_rng(seed, name), name, cfg.d_v)
@@ -390,7 +378,7 @@ class Model:
             d_in = 3 * cfg.d_v if key == "c" else cfg.d_v
             name = f"head_{key}"
             self.heads[key] = TemporalHead(
-                self.store, _name_rng(seed, name), name, d_in, cfg.d_head, cfg.vocab_size
+                self.store, _name_rng(seed, name), name, d_in, cfg.d_v, cfg.vocab_size
             )
 
         self.spn_ups = {}
@@ -400,7 +388,7 @@ class Model:
             heads = []
             for lvl in range(cfg.spn_levels):
                 # level 0 lifts the deepest block onto the one above, etc.
-                stride = cfg.temporal_strides[cfg.blocks - 1 - lvl]
+                stride = cfg.temporal_strides[-1 - lvl]
                 uname = f"spn_{m}.up{lvl}"
                 ups.append(
                     TemporalUpsample(
@@ -410,12 +398,7 @@ class Model:
                 hname = f"spn_{m}.head{lvl}"
                 heads.append(
                     TemporalHead(
-                        self.store,
-                        _name_rng(seed, hname),
-                        hname,
-                        cfg.d_v,
-                        cfg.d_head,
-                        cfg.vocab_size,
+                        self.store, _name_rng(seed, hname), hname, cfg.d_v, cfg.d_v, cfg.vocab_size
                     )
                 )
             self.spn_ups[m] = ups
@@ -453,44 +436,37 @@ class Model:
             out.append(lengths)
         return out
 
-    def _branches_fused(self, xv, xk, xo, lengths=None):
+    def _branches_fused(self, xv, xk, xo, lengths, levels):
         """All three branches with fusion between blocks; per-block features.
 
-        ``lengths`` are the packed samples' frame counts (default: one
-        sample of all rows).
+        ``lengths`` are the packed samples' frame counts and ``levels`` their
+        ``block_lengths``.
         """
         hs = {"v": xv, "k": xk, "o": xo}
-        lengths = (xv.data.shape[0],) if lengths is None else tuple(lengths)
         for m in ("v", "k", "o"):
             if hs[m].data.shape[0] != sum(lengths):
                 raise ValueError("every modality needs the same frame count")
         if min(lengths) < 4:
             raise ValueError("need at least 4 frames")
-        levels = self.block_lengths(lengths)
         feats = {"v": [], "k": [], "o": []}
-        for b in range(self.cfg.blocks):
+        for b, seg_out in enumerate(levels):
             seg_in = levels[b - 1] if b else lengths
             for m in ("v", "k", "o"):
                 hs[m] = ndgrad.gelu(self.blocks[m][b](hs[m], seg_in))
-            if self.fusions and b < self.cfg.blocks - 1:
-                hs["v"], hs["k"], hs["o"] = self.fusions[b](hs["v"], hs["k"], hs["o"], levels[b])
+            if b < len(self.fusions):
+                hs["v"], hs["k"], hs["o"] = self.fusions[b](hs["v"], hs["k"], hs["o"], seg_out)
             for m in ("v", "k", "o"):
                 feats[m].append(hs[m])
         return feats
 
-    def spn_forward(self, modality: str, block_feats, block_lengths=None) -> list:
+    def spn_forward(self, modality: str, block_feats, block_lengths) -> list:
         """Auxiliary log-prob streams from the top-down pyramid of one branch.
 
         Each level lifts the running top feature with a transposed conv onto
         the length of the next shallower block, adds that lateral
         element-wise and classifies with its own temporal head.
-        ``block_lengths`` gives each block's segment lengths (default: one
-        sample).
+        ``block_lengths`` gives each block's segment lengths.
         """
-        if len(block_feats) < self.cfg.spn_levels + 1:
-            raise ValueError("pyramid needs spn_levels + 1 block outputs")
-        if block_lengths is None:
-            block_lengths = [(f.data.shape[0],) for f in block_feats]
         streams = []
         top = block_feats[-1]
         for lvl in range(self.cfg.spn_levels):
@@ -507,12 +483,12 @@ class Model:
         The samples run as one pack, concatenated along time.
         """
         lengths = tuple(s.x_v.shape[0] for s in samples)
+        levels = self.block_lengths(lengths)
         xv, xk, xo = (
             Array(np.concatenate([getattr(s, key) for s in samples]))
             for key in ("x_v", "x_k", "x_o")
         )
-        feats = self._branches_fused(xv, xk, xo, lengths)
-        levels = self.block_lengths(lengths)
+        feats = self._branches_fused(xv, xk, xo, lengths, levels)
 
         top = levels[-1]
         joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]], axis=1)

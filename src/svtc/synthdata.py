@@ -59,6 +59,8 @@ class GenConfig:
             self.heatmap = HeatmapConfig(**self.heatmap)
         self.sentence_len = tuple(self.sentence_len)
         self.frames_per_gloss = tuple(self.frames_per_gloss)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_glosses < 2:
             raise ValueError("need at least 2 glosses (C >= 3)")
         lo, hi = self.sentence_len

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ class TrainConfig:
     frame_rate_aug: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("lr0", "weight_decay", "lambda_ctc", "lambda_spn", "lambda_g", "lambda_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -150,7 +152,7 @@ def save_checkpoint(base_path, model: net.Model) -> None:
     base = Path(base_path)
     tensors = {name: p.data for name, p in sorted(model.parameters().items())}
     container.save_tensors(base.with_suffix(".svt"), tensors)
-    sidecar = {"model": model.cfg.to_dict(), "glosses": list(model.vocab.glosses)}
+    sidecar = {"model": asdict(model.cfg), "glosses": list(model.vocab.glosses)}
     with open(base.with_suffix(".json"), "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -242,18 +244,19 @@ def packs(samples, max_rows: int):
         yield pack
 
 
-def model_for_corpus(meta: dict, **overrides) -> net.Model:
-    """A model sized to a corpus's ``vocab.json``; ``overrides`` set ModelConfig fields."""
+def model_for_corpus(meta: dict, **settings) -> net.Model:
+    """A model sized to a corpus's ``vocab.json``; ``settings`` set the other
+    ModelConfig fields."""
     vocab = GlossVocab(tuple(meta["glosses"]))
     gen_cfg = meta.get("config", {})
-    cfg_kwargs = {
-        "vocab_size": vocab.size,
-        "in_dim_v": gen_cfg.get("d_v_in", 16),
-        "in_dim_k": gen_cfg.get("d_k_in", 12),
-        "in_dim_o": gen_cfg.get("d_o_in", 16),
-        **overrides,
-    }
-    return net.Model(net.ModelConfig(**cfg_kwargs), vocab)
+    cfg = net.ModelConfig(
+        vocab_size=vocab.size,
+        in_dim_v=gen_cfg.get("d_v_in", 16),
+        in_dim_k=gen_cfg.get("d_k_in", 12),
+        in_dim_o=gen_cfg.get("d_o_in", 16),
+        **settings,
+    )
+    return net.Model(cfg, vocab)
 
 
 def _pack_losses(model, pack, weights, include_align, epoch) -> net.LossTerms:
@@ -272,11 +275,14 @@ def _pack_losses(model, pack, weights, include_align, epoch) -> net.LossTerms:
     return terms
 
 
-def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None = None):
-    """Full training run; returns RunArtifacts, writes metrics + checkpoint."""
+def train(corpus_dir, out_dir, tcfg: TrainConfig, widths: dict | None = None):
+    """Full training run; returns RunArtifacts, writes metrics + checkpoint.
+
+    ``widths`` sets ModelConfig's ``d_v``/``d_t``/``d_j``; fusion and seed
+    come from ``tcfg`` and the sizes from the corpus.
+    """
     corpus_dir = Path(corpus_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     meta = synthdata.load_meta(corpus_dir)
     gen_cfg = meta.get("config", {})
@@ -285,9 +291,10 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, model_overrides: dict | None =
     if gen_cfg.get("use_heatmaps"):
         hm_cfg = synthdata.HeatmapConfig(**gen_cfg["heatmap"])
     model = model_for_corpus(
-        meta, **{"fusion_kind": tcfg.fusion, "seed": tcfg.seed, **(model_overrides or {})}
+        meta, fusion_kind=tcfg.fusion, seed=tcfg.seed, **(widths or {})
     )
     vocab = model.vocab
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     train_pairs = synthdata.load_split(corpus_dir, "train")
     dev_pairs = synthdata.load_split(corpus_dir, "dev")

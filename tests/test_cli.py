@@ -249,7 +249,7 @@ class TestTrainConfigFile:
             ({"train": {"lr0": "0.1"}}, "train config key 'lr0' must be a number, got '0.1'"),
             ({"train": {"fusion": 1}}, "train config key 'fusion' must be a string, got 1"),
             ({"train": {"frame_rate_aug": 0}}, "train config key 'frame_rate_aug' must be true"),
-            ({"model": {"temporal_strides": 4}}, "model config key 'temporal_strides' must be an"),
+            ({"model": {"d_t": 2.5}}, "model config key 'd_t' must be an integer, got 2.5"),
         ],
     )
     def test_wrongly_typed_value_is_usage_error(
@@ -270,15 +270,18 @@ class TestTrainConfigFile:
         assert main(argv + ["--config", str(cfg_path)]) == 2
         assert "error: lr0 must be finite, got nan" in capsys.readouterr().err
 
-    def test_model_section_wins_over_fusion_and_seed(self, tiny_corpus, tmp_path):
-        config = {
-            "train": {"epochs": 1, "align_warmup_epochs": 0, "fusion": "attn", "seed": 4},
-            "model": {"fusion_kind": "none", "seed": 9, "d_v": 8},
-        }
-        assert self.run_with(tmp_path, config, tiny_corpus) == 0
-        sidecar = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
-        assert sidecar["model"]["fusion_kind"] == "none"
-        assert sidecar["model"]["seed"] == 9 and sidecar["model"]["d_v"] == 8
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fusion_kind", "none"), ("seed", 9), ("vocab_size", 13), ("in_dim_v", 5),
+         ("blocks", 4), ("d_head", 8)],
+        ids=["fusion_kind", "seed", "vocab_size", "in_dim_v", "blocks", "d_head"],
+    )
+    def test_retired_model_key_is_usage_error(self, tmp_path, capsys, no_training, key, value):
+        # fusion and seed have their own train keys, the sizes come from the
+        # corpus and the shape is fixed: the model section sets only widths
+        assert self.run_with(tmp_path, {"model": {"d_v": 8, key: value}}) == 1
+        assert f"error: unknown model config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_model_only_config_trains(self, tiny_corpus, tmp_path):
         extra = ["--epochs", "1", "--align-warmup", "0"]
@@ -286,10 +289,19 @@ class TestTrainConfigFile:
         sidecar = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
         assert sidecar["model"]["d_v"] == 8
 
+    def test_fusion_none_trains_a_model_without_fusion(self, tiny_corpus, tmp_path):
+        extra = ["--epochs", "1", "--align-warmup", "0", "--fusion", "none", "--seed", "4"]
+        config = {"train": {"fusion": "attn", "seed": 1}, "model": {"d_v": 8}}
+        assert self.run_with(tmp_path, config, tiny_corpus, extra) == 0
+        base = tmp_path / "o" / "checkpoint"
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        assert sidecar["model"]["fusion_kind"] == "none" and sidecar["model"]["seed"] == 4
+        assert not any(n.startswith("fuse") for n in load_checkpoint(base).parameters())
+
     def test_flat_config_is_read_as_train_fields(self, tmp_path, monkeypatch):
         seen = []
 
-        def record(corpus, out, tcfg, model_overrides):
+        def record(corpus, out, tcfg, widths):
             seen.append(tcfg)
             return SimpleNamespace(best_dev_wer=0.0, checkpoint_path=out)
 
@@ -359,7 +371,13 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     @pytest.mark.parametrize(
-        "edit", [{"bogus": 1}, {"vocab_size": "13"}], ids=["extra-key", "string-vocab-size"]
+        "edit",
+        [
+            {"bogus": 1},
+            {"vocab_size": "13"},
+            {"blocks": 4, "d_head": 64, "spn_levels": 2, "temporal_strides": [1, 2, 2, 1]},
+        ],
+        ids=["extra-key", "string-vocab-size", "retired-shape-keys"],
     )
     def test_bad_sidecar_model_is_a_data_error(
         self, tiny_corpus, tiny_run, tmp_path, capsys, edit
@@ -665,6 +683,43 @@ class TestExitCodes:
         argv += ["--config", str(tmp_path / "missing.json")]
         assert main(argv + [f"{flag}={value}"]) == 1
         assert f"error: argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen-data", "--seed", "-1"], "--seed"),
+            (["train", "--corpus", "c", "--seed", "-2"], "--seed"),
+            (["train", "--corpus", "c", "--align-warmup", "-1"], "--align-warmup"),
+            (["gradcheck", "--seed", "-1"], "--seed"),
+        ],
+        ids=["gen-data-seed", "train-seed", "train-align-warmup", "gradcheck-seed"],
+    )
+    def test_negative_count_flag_fails_before_any_output(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        value = argv[argv.index(flag) + 1]
+        assert f"argument {flag}: must be >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gen-data", {"n_train": 2, "seed": -1}),
+            ("train", {"train": {"seed": -1}}),
+            ("train", {"seed": -1}),
+        ],
+        ids=["generation", "train-section", "flat-train"],
+    )
+    def test_negative_config_seed_is_a_data_error(self, tmp_path, capsys, command, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--config", str(cfg_path)]
+        if command == "train":
+            argv += ["--corpus", str(tmp_path)]
+        assert main(argv) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_is_an_unknown_subcommand(self, capsys):
         assert main(["bench"]) == 1

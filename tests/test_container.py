@@ -123,3 +123,35 @@ def test_duplicate_name_rejected(tmp_path):
     path.write_bytes(raw)
     with pytest.raises(ContainerError, match="duplicate tensor name 'a'"):
         load_tensors(path)
+
+
+def test_every_bit_flip_loads_or_raises_container_error(tmp_path):
+    # three tensors, one with a zero extent: a flipped rank or extent byte
+    # asks numpy for a shape it cannot hold
+    path = tmp_path / "x.svt"
+    save_tensors(path, {"w": np.arange(6.0).reshape(2, 3), "e": np.zeros((0, 4)), "b": np.ones(2)})
+    raw = path.read_bytes()
+    rejected = 0
+    for bit in range(8 * len(raw)):
+        corrupt = bytearray(raw)
+        corrupt[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(corrupt))
+        try:
+            load_tensors(path)
+        except ContainerError:
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize(
+    "rank, extents",
+    [(65, [0] + [1] * 64), (2, [0, 1 << 63]), (3, [(1 << 64) - 1, 0, 2])],
+    ids=["rank-65", "zero-beside-2^63", "zero-beside-2^64-1"],
+)
+def test_shape_numpy_cannot_hold_rejected(tmp_path, rank, extents):
+    # a zero extent makes the payload empty, so only the shape is wrong
+    record = struct.pack("<H", 1) + b"t" + struct.pack(f"<B{rank}QB", rank, *extents, 0)
+    path = tmp_path / "big.svt"
+    path.write_bytes(b"SVTC" + struct.pack("<II", 1, 1) + record)
+    with pytest.raises(ContainerError, match=r"bad shape .* for 't' in .*big\.svt"):
+        load_tensors(path)

@@ -1,6 +1,6 @@
 """Model wiring: shapes, fusion identities, parameter isolation, determinism."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ def small_cfg(**kw):
         d_v=6,
         d_t=5,
         d_j=4,
-        d_head=6,
         in_dim_v=3,
         in_dim_k=2,
         in_dim_o=3,
@@ -48,7 +47,8 @@ def branches(model, T, fill=1.0):
     """Fused per-block branch features for constant [T, in_dim] inputs."""
     cfg = model.cfg
     dims = (cfg.in_dim_v, cfg.in_dim_k, cfg.in_dim_o)
-    return model._branches_fused(*(Array(np.full((T, d), fill)) for d in dims))
+    xs = (Array(np.full((T, d), fill)) for d in dims)
+    return model._branches_fused(*xs, (T,), model.block_lengths((T,)))
 
 
 def stride_schedule_lengths(T, strides):
@@ -61,13 +61,22 @@ def stride_schedule_lengths(T, strides):
 
 
 class TestModelConfig:
-    def test_stride_product_enforced(self):
-        with pytest.raises(ValueError):
+    def test_shape_is_fixed(self):
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert names == [
+            "vocab_size", "d_v", "d_t", "d_j", "in_dim_v", "in_dim_k", "in_dim_o",
+            "fusion_kind", "seed",
+        ]
+        model = Model(small_cfg(), VOCAB)
+        assert model.cfg.temporal_strides == (1, 2, 2, 1) and model.cfg.spn_levels == 2
+        assert len(model.blocks["v"]) == 4 and len(model.fusions) == 3
+        with pytest.raises(TypeError):
             ModelConfig(vocab_size=4, temporal_strides=(1, 2, 2, 2))
 
-    def test_d_head_defaults_to_d_v(self):
-        cfg = ModelConfig(vocab_size=4, d_v=48)
-        assert cfg.d_head == 48
+    def test_heads_are_d_v_wide(self):
+        model = Model(small_cfg(d_v=7), VOCAB)
+        for head in [*model.heads.values(), *model.spn_heads["o"]]:
+            assert head.lin.w.data.shape[1] == 7
 
     def test_unknown_fusion_rejected(self):
         with pytest.raises(ValueError):
@@ -232,12 +241,6 @@ class TestSpn:
         assert len(out.spn_streams) == 6
         for s in out.spn_streams:
             np.testing.assert_allclose(np.exp(s.data).sum(axis=1), 1.0, atol=1e-9)
-
-    def test_needs_enough_blocks(self):
-        model = Model(small_cfg(), VOCAB)
-        feats = branches(model, 8)["v"]
-        with pytest.raises(ValueError):
-            model.spn_forward("v", feats[:2])
 
 
 class TestAdapters:
