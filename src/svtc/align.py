@@ -3,13 +3,15 @@
 The alignment is a max-product path through the matrix of labeled-gloss
 probability columns: starting at the top-left cell, each step moves down or
 down-right, ending at the bottom-right cell, so every labeled gloss receives
-at least one frame.  Paths are found on detached probabilities; gradients
-never flow through the path selection, only through the pooled features.
+at least one frame.  A path's spans are its maximal runs, a list of
+[start, stop) frame ranges that partition the sample's frames.  Paths are
+found on detached probabilities; gradients never flow through the path
+selection, only through the pooled features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,30 +29,6 @@ class AlignmentPath:
 
     assignment: list
     log_score: float
-
-
-@dataclass
-class SegmentSpans:
-    """N contiguous [start, end) frame ranges partitioning [0, T')."""
-
-    spans: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.spans)
-
-    def validate(self, total: int | None = None) -> None:
-        if not self.spans:
-            raise ValueError("no spans")
-        if self.spans[0][0] != 0:
-            raise ValueError("spans must start at frame 0")
-        for (s0, e0), (s1, _) in zip(self.spans, self.spans[1:]):
-            if e0 != s1:
-                raise ValueError("spans must be contiguous")
-        for s, e in self.spans:
-            if s >= e:
-                raise ValueError(f"empty span [{s},{e})")
-        if total is not None and self.spans[-1][1] != total:
-            raise ValueError("spans must cover the full frame range")
 
 
 def extract_columns(probs, labels) -> np.ndarray:
@@ -125,33 +103,36 @@ def _runs(values) -> list:
     return spans
 
 
-def path_to_spans(path: AlignmentPath) -> SegmentSpans:
-    """Maximal runs of frames assigned to each gloss, in order."""
-    return SegmentSpans(spans=_runs(path.assignment))
+def path_to_spans(path: AlignmentPath) -> list:
+    """[start, stop) runs of frames assigned to each gloss, in order."""
+    return _runs(path.assignment)
 
 
-def pool_visual(features: Array, spans: SegmentSpans, rows=None) -> Array:
-    """Per-gloss mean of frame features [T', d] -> [N, d].
+def pool_visual(features: Array, spans, rows) -> Array:
+    """Per-gloss mean of one sample's frame features -> [N, d].
 
-    The spans must partition [0, T'); gradient flows into the features but
-    never into the span selection.  When the features pack several samples,
-    ``rows`` = (start, stop) names this sample's T' rows (default: all).
+    The features pack samples along time, and ``rows`` = (start, stop)
+    names this sample's T' rows.  The N ``spans`` must partition [0, T')
+    into nonempty runs; gradient flows into the features but never into
+    the span selection.
     """
-    start, stop = rows or (0, features.data.shape[0])
-    spans.validate(total=stop - start)
+    start, stop = rows
+    edges = [s for s, _ in spans] + [stop - start]
+    if edges[0] != 0 or any(e != nxt for (_, e), nxt in zip(spans, edges[1:])):
+        raise ValueError(f"spans {list(spans)} do not partition [0, {stop - start})")
     return ndgrad.pool_spans(features, [(s + start, e + start) for s, e in spans])
 
 
-def pool_tokens(token_features: Array, token_to_gloss, rows=None) -> Array:
-    """Per-gloss mean of token features using the tokenizer's gloss map.
+def pool_tokens(token_features: Array, token_to_gloss, rows) -> Array:
+    """Per-gloss mean of one sample's token features using the tokenizer's
+    gloss map.
 
-    The map must be monotonic non-decreasing and cover every gloss position
-    0..N-1; the end-of-sequence token is not part of the map.  When the
-    features pack several samples' tokens, ``rows`` = (start, stop) names
-    this sample's (default: all).
+    The features pack samples' tokens, and ``rows`` = (start, stop) names
+    this sample's.  The map must be monotonic non-decreasing and cover every
+    gloss position 0..N-1; the end-of-sequence token is not part of the map.
     """
     mapping = [int(g) for g in token_to_gloss]
-    start, stop = rows or (0, token_features.data.shape[0])
+    start, stop = rows
     if len(mapping) != stop - start:
         raise ValueError(f"map length {len(mapping)} != token count {stop - start}")
     if not mapping:

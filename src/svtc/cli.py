@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 # One BLAS thread before numpy loads: a second one does not speed up these
@@ -123,13 +123,17 @@ def build_parser() -> _Parser:
     p.add_argument("--lr0", type=_finite_float, default=None)
     p.add_argument("--weight-decay", type=_finite_float, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.add_argument("--align-warmup", type=_non_negative_int, default=None)
+    p.add_argument(
+        "--align-warmup", dest="align_warmup_epochs", type=_non_negative_int, default=None
+    )
     p.add_argument("--lambda-ctc", type=_finite_float, default=None)
     p.add_argument("--lambda-spn", type=_finite_float, default=None)
     p.add_argument("--lambda-g", type=_finite_float, default=None)
     p.add_argument("--lambda-s", type=_finite_float, default=None)
     p.add_argument("--fusion", choices=["mlp", "conv", "attn", "none"], default=None)
-    p.add_argument("--no-frame-rate-aug", action="store_true")
+    p.add_argument(
+        "--no-frame-rate-aug", dest="frame_rate_aug", action="store_false", default=None
+    )
 
     for name, help_text in (
         ("eval", "score a split with a checkpoint"),
@@ -154,26 +158,9 @@ def _train_config(args, raw) -> TrainConfig:
     sectioned = isinstance(raw, dict) and ("train" in raw or "model" in raw)
     data = raw.get("train", {}) if sectioned else raw
     tcfg = _dataclass_from(TrainConfig, data, "train")
-    override_map = {
-        "epochs": args.epochs,
-        "lr0": args.lr0,
-        "weight_decay": args.weight_decay,
-        "batch_size": args.batch_size,
-        "align_warmup_epochs": args.align_warmup,
-        "lambda_ctc": args.lambda_ctc,
-        "lambda_spn": args.lambda_spn,
-        "lambda_g": args.lambda_g,
-        "lambda_s": args.lambda_s,
-        "fusion": args.fusion,
-        "seed": args.seed,
-    }
-    for key, value in override_map.items():
-        if value is not None:
-            setattr(tcfg, key, value)
-    if args.no_frame_rate_aug:
-        tcfg.frame_rate_aug = False
-    tcfg.__post_init__()
-    return tcfg
+    # each train flag's dest is the field it sets; replace() checks the result
+    flags = {f.name: vars(args)[f.name] for f in fields(TrainConfig)}
+    return replace(tcfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def cmd_gen_data(args) -> int:
@@ -183,10 +170,9 @@ def cmd_gen_data(args) -> int:
     if isinstance(data, dict) and "heatmap" in data:
         data["heatmap"] = _dataclass_from(HeatmapConfig, data["heatmap"], "heatmap")
     cfg = _dataclass_from(GenConfig, data, "generation")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.heatmaps:
-        cfg.use_heatmaps = True
+    flags = {"seed": args.seed, "use_heatmaps": args.heatmaps or None}
+    # replace() runs the config checks again with the flags applied
+    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     records = synthdata.generate_corpus(cfg, args.out)
     print(f"wrote {len(records)} samples to {args.out}")
     return 0

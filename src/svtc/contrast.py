@@ -85,11 +85,9 @@ def sentence_align_loss(visual_global: Array, text_global: Array) -> Array:
             f"global feature shape mismatch: "
             f"{visual_global.data.shape} vs {text_global.data.shape}"
         )
-    t = text_global.data.reshape(-1)
-    tm = t - t.max()
-    log_q = tm - np.log(np.exp(tm).sum())
+    log_q = ndgrad.log_softmax(Array(text_global.data), axis=-1).data
     q = np.exp(log_q)
     ref_term = float((q * log_q).sum())  # sum q log q, a constant
     log_p = ndgrad.log_softmax(visual_global, axis=-1)
-    cross = ndgrad.reduce_sum(ndgrad.mul(Array(q.reshape(text_global.data.shape)), log_p))
+    cross = ndgrad.reduce_sum(ndgrad.mul(Array(q), log_p))
     return ndgrad.add(ref_term, ndgrad.neg(cross))

@@ -242,33 +242,29 @@ def _prepare_labels(labels, T: int, C: int):
 def ctc_loss(log_probs, labels) -> Array:
     """Negative log marginal over all blank-augmented alignments.
 
-    ``log_probs`` is a [T', C] array of frame log-probabilities (rows of a
+    ``log_probs`` is a [T', C] Array of frame log-probabilities (rows of a
     log-softmax); gradient reaches it through the forward-backward
     posteriors.  An infeasible label length raises
     :class:`CtcInfeasibleError` instead of returning an infinite loss.
     """
-    return ndgrad.reduce_sum(ctc_loss_group([log_probs], [labels])[0])
+    (loss,) = ctc_loss_group([log_probs], [labels], [log_probs.data.shape[:1]])
+    return ndgrad.reduce_sum(loss)
 
 
-def ctc_loss_group(log_prob_arrays, labels, lengths=None) -> list:
+def ctc_loss_group(log_prob_arrays, labels, lengths) -> list:
     """:func:`ctc_loss` for every stream of every sample of a pack at once.
 
-    Each [R, C] array packs one stream per sample along time: sample i owns
-    ``lengths[a][i]`` consecutive rows of array a (by default each array is
-    one sample's stream).  ``labels`` holds one label sequence per sample.
-    All arrays share the class count; one batched recursion runs every
-    stream.  Returns one [n] Array of the n samples' losses per input array.
+    Each [R, C] Array packs one stream per sample along time: sample i owns
+    ``lengths[a][i]`` consecutive rows of array a.  ``labels`` holds one
+    label sequence per sample.  All arrays share the class count; one
+    batched recursion runs every stream.  Returns one [n] Array of the n samples' losses per input array.
     """
-    arrays = [a if isinstance(a, Array) else Array(a) for a in log_prob_arrays]
-    if not arrays:
-        return []
+    arrays = list(log_prob_arrays)
     if any(a.data.ndim != 2 for a in arrays):
         raise ValueError("log_probs must be [T', C]")
     C = arrays[0].data.shape[1]
     if any(a.data.shape[1] != C for a in arrays):
         raise ValueError("grouped streams must share the class count")
-    if lengths is None:
-        lengths = [(a.data.shape[0],) for a in arrays]
     lengths = [tuple(int(n) for n in lens) for lens in lengths]
     n = len(labels)
     if len(lengths) != len(arrays):
@@ -314,7 +310,7 @@ def _lae(a: float, b: float) -> float:
     return m + math.log1p(math.exp(-abs(a - b)))
 
 
-def beam_decode(stream: ProbStream, width: int = 5) -> list:
+def beam_decode(stream: ProbStream, width: int) -> list:
     """Prefix beam search merging identical label prefixes.
 
     Each surviving prefix carries separate blank/non-blank probability

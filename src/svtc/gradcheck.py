@@ -2,8 +2,8 @@
 
 Each named check builds a small scalar-valued computation over fresh leaves,
 runs the reverse pass, then recomputes the gradient with central differences
-(default step 1e-5) and reports the worst component error relative to the
-largest finite-difference magnitude.
+(step ``DEFAULT_STEP`` = 1e-5) and reports the worst component error
+relative to the largest finite-difference magnitude.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class CheckResult:
         return f"{status}  {self.name:<28s} max_rel={self.max_rel_err:.3e}  tol={self.tolerance:.0e}"
 
 
-def finite_difference_grads(forward, leaves, step: float = DEFAULT_STEP) -> list:
+def finite_difference_grads(forward, leaves) -> list:
     """Central-difference gradients of ``forward()`` w.r.t. each leaf.
 
     ``forward`` must recompute the scalar loss from the leaves' current
@@ -49,24 +49,24 @@ def finite_difference_grads(forward, leaves, step: float = DEFAULT_STEP) -> list
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + DEFAULT_STEP
             hi = forward().item()
-            flat[i] = orig - step
+            flat[i] = orig - DEFAULT_STEP
             lo = forward().item()
             flat[i] = orig
-            gf[i] = (hi - lo) / (2.0 * step)
+            gf[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
         grads.append(g)
     return grads
 
 
-def compare_grads(forward, leaves, step: float = DEFAULT_STEP) -> float:
+def compare_grads(forward, leaves) -> float:
     """Worst error between analytic and numeric gradients, relative to the
     largest finite-difference magnitude across all leaves."""
     for leaf in leaves:
         leaf.grad = None
     loss = forward()
     ndgrad.backward(loss)
-    numeric = finite_difference_grads(forward, leaves, step)
+    numeric = finite_difference_grads(forward, leaves)
     scale = 1e-8
     for num in numeric:
         if num.size:
@@ -79,8 +79,8 @@ def compare_grads(forward, leaves, step: float = DEFAULT_STEP) -> float:
     return worst
 
 
-def _leaf(rng, shape, scale=1.0):
-    return Array(scale * rng.standard_normal(shape), grad_tracked=True)
+def _leaf(rng, shape):
+    return Array(rng.standard_normal(shape), grad_tracked=True)
 
 
 def _scalar_checks(seed: int):
@@ -92,7 +92,7 @@ def _scalar_checks(seed: int):
         fwd, leaves = builder(rng)
         checks.append((name, fwd, leaves, tol))
 
-    def with_weights(rng, make_out, leaves):
+    def with_weights(make_out, leaves):
         w_cache = {}
 
         def fwd():
@@ -106,19 +106,18 @@ def _scalar_checks(seed: int):
 
     def b_matmul(rng):
         a, b, c = _leaf(rng, (3, 4)), _leaf(rng, (4, 2)), _leaf(rng, (2,))
-        return with_weights(rng, lambda: ndgrad.matmul(a, b, bias=c), [a, b, c])
+        return with_weights(lambda: ndgrad.matmul(a, b, bias=c), [a, b, c])
 
     def b_conv(rng):
         x, w, c = _leaf(rng, (7, 3)), _leaf(rng, (3, 3, 2)), _leaf(rng, (2,))
-        return with_weights(rng, lambda: ndgrad.temporal_conv(x, w, 2, bias=c), [x, w, c])
+        return with_weights(lambda: ndgrad.temporal_conv(x, w, (7,), 2, bias=c), [x, w, c])
 
     def b_conv_packed(stride):
         # three packed segments, each padded and strided on its own
         def build(rng):
             x, w, c = _leaf(rng, (16, 3)), _leaf(rng, (3, 3, 2)), _leaf(rng, (2,))
             return with_weights(
-                rng,
-                lambda: ndgrad.temporal_conv(x, w, stride, bias=c, lengths=(5, 4, 7)),
+                lambda: ndgrad.temporal_conv(x, w, (5, 4, 7), stride, bias=c),
                 [x, w, c],
             )
 
@@ -128,16 +127,13 @@ def _scalar_checks(seed: int):
         # odd segment lengths 7 and 5 at stride 2: 4 + 3 input rows
         x, w, c = _leaf(rng, (7, 2)), _leaf(rng, (3, 3, 2)), _leaf(rng, (3,))
         return with_weights(
-            rng,
-            lambda: ndgrad.transposed_temporal_conv(x, w, (7, 5), stride=2, bias=c),
+            lambda: ndgrad.transposed_temporal_conv(x, w, (7, 5), 2, bias=c),
             [x, w, c],
         )
 
     def b_attention(rng):
         q, k, v = _leaf(rng, (9, 3)), _leaf(rng, (9, 3)), _leaf(rng, (9, 2))
-        return with_weights(
-            rng, lambda: ndgrad.segment_attention(q, k, v, 0.6, lengths=(4, 5)), [q, k, v]
-        )
+        return with_weights(lambda: ndgrad.segment_attention(q, k, v, 0.6, (4, 5)), [q, k, v])
 
     def b_ctc_group(rng):
         # two arrays packing two samples each, every sample with its own labels
@@ -155,29 +151,28 @@ def _scalar_checks(seed: int):
         # length 7, not 4 * 2: the odd-length geometry of an odd pyramid lateral
         x, w, c = _leaf(rng, (4, 2)), _leaf(rng, (3, 3, 2)), _leaf(rng, (3,))
         return with_weights(
-            rng, lambda: ndgrad.transposed_temporal_conv(x, w, 7, stride=2, bias=c), [x, w, c]
+            lambda: ndgrad.transposed_temporal_conv(x, w, (7,), 2, bias=c), [x, w, c]
         )
 
     def b_gelu(rng):
         x = _leaf(rng, (5, 3))
-        return with_weights(rng, lambda: ndgrad.gelu(x), [x])
+        return with_weights(lambda: ndgrad.gelu(x), [x])
 
     def b_elementwise(rng):
         a, b = _leaf(rng, (4, 3)), _leaf(rng, (4, 3))
         return with_weights(
-            rng,
             lambda: ndgrad.mul(ndgrad.add(a, ndgrad.neg(b)), ndgrad.add(ndgrad.mul(a, b), 0.5)),
             [a, b],
         )
 
     def b_log_softmax(rng):
         x = _leaf(rng, (4, 5))
-        return with_weights(rng, lambda: ndgrad.log_softmax(x, axis=1), [x])
+        return with_weights(lambda: ndgrad.log_softmax(x, axis=1), [x])
 
     def b_pool(rng):
         x = _leaf(rng, (8, 3))
         spans = [(0, 3), (3, 4), (4, 8)]
-        return with_weights(rng, lambda: ndgrad.pool_spans(x, spans), [x])
+        return with_weights(lambda: ndgrad.pool_spans(x, spans), [x])
 
     def b_ctc(rng):
         x = _leaf(rng, (6, 4))
@@ -206,10 +201,9 @@ def _scalar_checks(seed: int):
         leaves = [hv, hk, ho] + list(store.table.values())
 
         def make():
-            a, b, c = fusion(hv, hk, ho)
-            return ndgrad.concat([a, b, c], axis=1)
+            return ndgrad.concat(fusion(hv, hk, ho, (5,)))
 
-        return with_weights(rng, make, leaves)
+        return with_weights(make, leaves)
 
     register("matmul", b_matmul)
     register("temporal_conv", b_conv)
@@ -276,7 +270,7 @@ def micro_model() -> tuple:
     return model, sample
 
 
-def run_suite(seed: int = 0, include_model: bool = True) -> list:
+def run_suite(seed: int, include_model: bool) -> list:
     """Run every named check; returns CheckResult entries."""
     results = []
     for name, fwd, leaves, tol in _scalar_checks(seed):
@@ -292,6 +286,6 @@ def run_suite(seed: int = 0, include_model: bool = True) -> list:
             return net.compute_losses(out, labels, weights, include_align=True).total
 
         leaves = list(model.parameters().values())
-        err = compare_grads(fwd, leaves, step=1e-5)
+        err = compare_grads(fwd, leaves)
         results.append(CheckResult("micro_model_total_loss", err, 1e-4))
     return results

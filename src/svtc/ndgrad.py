@@ -8,9 +8,9 @@ bit-identical forward values and gradients.  It returns nothing: each
 leaf's gradient accumulates into its ``.grad``.  The sweep frees each node
 once it has used it, so a graph can be swept only once.
 
-Time-mixing primitives take ``lengths``: the rows of a [R, d] array may pack
-several sequences end to end, and convolution and attention then stay
-inside each one, as if each ran alone.
+Time-mixing primitives require ``lengths``: the rows of a [R, d] array pack
+one or more sequences end to end, and convolution and attention stay inside
+each one, as if each ran alone.
 
 Numerical policy: everything is float64.  Operations never mutate their
 inputs.  ``log_softmax`` and the attention softmax are computed with
@@ -366,17 +366,15 @@ def transpose(a) -> Array:
     return out
 
 
-def concat(arrays, axis: int = 0) -> Array:
+def concat(arrays) -> Array:
+    """Join [T, d_i] arrays along columns into [T, sum d_i]."""
     arrays = [_as_array(a) for a in arrays]
-    if not arrays:
-        raise ValueError("concat of empty list")
-    out = Array(np.concatenate([a.data for a in arrays], axis=axis))
+    out = Array(np.concatenate([a.data for a in arrays], axis=1))
     if _tracing(*arrays):
-        sizes = [a.data.shape[axis] for a in arrays]
-        offsets = np.cumsum(sizes)[:-1]
+        offsets = np.cumsum([a.data.shape[1] for a in arrays])[:-1]
 
         def grad_fn(g):
-            parts = np.split(g, offsets, axis=axis)
+            parts = np.split(g, offsets, axis=1)
             return tuple(p if _live(a) else None for p, a in zip(parts, arrays))
 
         _attach(out, tuple(arrays), grad_fn)
@@ -387,16 +385,14 @@ def concat(arrays, axis: int = 0) -> Array:
 # reductions, log-softmax, pooling
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Array:
+def reduce_sum(a) -> Array:
+    """Sum of every element: a scalar."""
     a = _as_array(a)
-    out = Array(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Array(a.data.sum())
     if _tracing(a):
         shape = a.data.shape
 
         def grad_fn(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
 
         _attach(out, (a,), grad_fn)
@@ -467,13 +463,8 @@ def pool_spans(a, spans) -> Array:
 
 def _segments(lengths, rows=None) -> tuple:
     """Per-segment row counts of a packed time axis, checked against
-    ``rows`` when given; None is one segment of all rows."""
-    if lengths is None:
-        lengths = (rows,)
-    elif isinstance(lengths, (int, np.integer)):
-        lengths = (int(lengths),)
-    else:
-        lengths = tuple(lengths)
+    ``rows`` when given."""
+    lengths = tuple(lengths)
     if not lengths or min(lengths) < 1:
         raise ValueError("empty time axis")
     if rows is not None and sum(lengths) != rows:
@@ -513,13 +504,13 @@ def _tap_slices(lengths: tuple, k: int, stride: int):
     return off_out, plan
 
 
-def temporal_conv(x, w, stride: int = 1, bias=None, lengths=None) -> Array:
+def temporal_conv(x, w, lengths, stride: int, bias=None) -> Array:
     """1-D convolution along time: x [T, Cin], w [k, Cin, Cout] -> [T', Cout].
 
-    Same-padding output length is ceil(T / stride), padded left-heavy.  With
-    segment ``lengths`` each segment is padded and strided on its own and
-    gets ceil(L / stride) output rows.  A ``bias`` [Cout] joins the same
-    node, added to every output row.  The node keeps only its input: the
+    ``lengths`` lists the segments packed in the T rows.  Each segment of L
+    rows is same-padded (left-heavy) and strided on its own and gets
+    ceil(L / stride) output rows.  A ``bias`` [Cout] joins the same node,
+    added to every output row.  The node keeps only its input: the
     backward assembles the window matrix again.
     """
     x, w = _as_array(x), _as_array(w)
@@ -566,15 +557,15 @@ def temporal_conv(x, w, stride: int = 1, bias=None, lengths=None) -> Array:
     return out
 
 
-def transposed_temporal_conv(x, w, length, stride: int = 1, bias=None) -> Array:
-    """Exact adjoint of same-padded ``temporal_conv`` over ``length`` input rows.
+def transposed_temporal_conv(x, w, lengths, stride: int, bias=None) -> Array:
+    """Exact adjoint of same-padded ``temporal_conv`` over segments of
+    ``lengths`` rows.
 
-    Maps x [T, Cout] to [length, Cin] for w [k, Cin, Cout], where T must equal
-    ceil(length / stride), so that
-    <transposed_temporal_conv(x, w, len(y)), y> == <x, temporal_conv(y, w)>
-    for any y with the same w and stride.  ``length`` may instead list the
-    output lengths of packed segments; x then packs ceil(L / stride) rows per
-    segment.  A ``bias`` [Cin] joins the same node, added to every output row.
+    Maps x [T, Cout] to [sum(lengths), Cin] for w [k, Cin, Cout], where x
+    packs ceil(L / stride) rows per segment, so that
+    <transposed_temporal_conv(x, w, lengths, s), y> == <x, temporal_conv(y, w, lengths, s)>
+    for any y.  A ``bias`` [Cin] joins the same node, added to every output
+    row.
     """
     x, w = _as_array(x), _as_array(w)
     inputs = (x, w) if bias is None else (x, w, _as_array(bias))
@@ -585,11 +576,11 @@ def transposed_temporal_conv(x, w, length, stride: int = 1, bias=None) -> Array:
     k, cin, cout = wd.shape
     if xcout != cout:
         raise ValueError(f"channel mismatch: input {xcout}, weight {cout}")
-    lengths = _segments(length)
+    lengths = _segments(lengths)
     t_in, plan = _tap_slices(lengths, k, stride)
     if T != t_in:
         raise ValueError(
-            f"{T} input rows do not fit length {length} at stride {stride} (need {t_in})"
+            f"{T} input rows do not fit lengths {lengths} at stride {stride} (need {t_in})"
         )
     out_data = np.zeros((sum(lengths), cin))
     for j, pairs in enumerate(plan):
@@ -620,7 +611,7 @@ def transposed_temporal_conv(x, w, length, stride: int = 1, bias=None) -> Array:
     return out
 
 
-def segment_attention(q, k, v, scale: float, lengths=None) -> Array:
+def segment_attention(q, k, v, scale: float, lengths) -> Array:
     """softmax(scale * q k^T) v over rows, each row attending only to the
     rows of its own segment: q, k [T, d], v [T, dv] -> [T, dv]."""
     q, k, v = _as_array(q), _as_array(k), _as_array(v)

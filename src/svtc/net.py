@@ -32,17 +32,18 @@ from .ctc import GlossVocab, ctc_loss_group
 from .ndgrad import Array
 
 HEAD_KEYS = ("v", "k", "o", "c")
+# the width of every temporal conv and upsample window
+KERNEL = 3
 
 _TEXT_NS = 0x7E47
 
 
+def _digest64(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
+
+
 def _name_rng(seed: int, name: str):
-    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
-    return np.random.default_rng((seed, int.from_bytes(digest, "little")))
-
-
-def _stable_parity(text: str) -> int:
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()[0] & 1
+    return np.random.default_rng((seed, _digest64(name)))
 
 
 @dataclass
@@ -67,6 +68,8 @@ class ModelConfig:
             raise ValueError("vocabulary must contain blank plus one gloss")
         if min(self.d_v, self.d_t, self.d_j) <= 0:
             raise ValueError("hidden dimensions must be positive")
+        if min(self.in_dim_v, self.in_dim_k, self.in_dim_o) < 1:
+            raise ValueError("input widths must be >= 1")
         if self.fusion_kind not in ("mlp", "conv", "attn", "none"):
             raise ValueError(f"unknown fusion kind: {self.fusion_kind!r}")
 
@@ -164,37 +167,35 @@ class Linear:
 
 
 class TemporalConv:
-    def __init__(self, store, rng, name, d_in, d_out, kernel=3, stride=1, zero_init=False):
+    def __init__(self, store, rng, name, d_in, d_out, stride=1, zero_init=False):
         if zero_init:
-            w = np.zeros((kernel, d_in, d_out))
+            w = np.zeros((KERNEL, d_in, d_out))
         else:
-            w = rng.normal(0.0, math.sqrt(2.0 / (kernel * d_in + d_out)), (kernel, d_in, d_out))
+            w = rng.normal(0.0, math.sqrt(2.0 / (KERNEL * d_in + d_out)), (KERNEL, d_in, d_out))
         self.w = store.new(f"{name}.w", w)
         self.b = store.new(f"{name}.b", np.zeros(d_out))
         self.stride = stride
 
-    def __call__(self, x: Array, lengths=None) -> Array:
-        return ndgrad.temporal_conv(x, self.w, stride=self.stride, bias=self.b, lengths=lengths)
+    def __call__(self, x: Array, lengths) -> Array:
+        return ndgrad.temporal_conv(x, self.w, lengths, self.stride, bias=self.b)
 
 
 class TemporalUpsample:
     """Transposed temporal conv with square channels (pyramid pathway).
 
-    Lifts [T, d] features onto ``length`` rows, the exact adjoint of a
-    same-padded stride-``stride`` conv over ``length`` rows, so T must be
-    ceil(length / stride).  ``length`` may list packed segment lengths.
+    Lifts [T, d] features onto segments of ``lengths`` rows, the exact
+    adjoint of a same-padded stride-``stride`` conv over them, so the
+    features pack ceil(L / stride) rows per segment.
     """
 
-    def __init__(self, store, rng, name, d, kernel=3, stride=1):
-        w = rng.normal(0.0, math.sqrt(2.0 / (kernel * d + d)), (kernel, d, d))
+    def __init__(self, store, rng, name, d, stride):
+        w = rng.normal(0.0, math.sqrt(2.0 / (KERNEL * d + d)), (KERNEL, d, d))
         self.w = store.new(f"{name}.w", w)
         self.b = store.new(f"{name}.b", np.zeros(d))
         self.stride = stride
 
-    def __call__(self, x: Array, length: int) -> Array:
-        return ndgrad.transposed_temporal_conv(
-            x, self.w, length, stride=self.stride, bias=self.b
-        )
+    def __call__(self, x: Array, lengths) -> Array:
+        return ndgrad.transposed_temporal_conv(x, self.w, lengths, self.stride, bias=self.b)
 
 
 class Mlp:
@@ -226,7 +227,7 @@ class TemporalHead:
         self.conv2 = TemporalConv(store, rng, f"{name}.conv2", d_hidden, d_hidden)
         self.cls = Linear(store, rng, f"{name}.cls", d_hidden, n_classes)
 
-    def __call__(self, x: Array, lengths=None) -> Array:
+    def __call__(self, x: Array, lengths) -> Array:
         h = ndgrad.gelu(self.lin(x))
         h = ndgrad.gelu(self.conv1(h, lengths))
         h = ndgrad.gelu(self.conv2(h, lengths))
@@ -243,8 +244,8 @@ class MlpFusion:
     def __init__(self, store, rng, name, d):
         self.mlp = Mlp(store, rng, name, [3 * d, d, d, d], zero_last=True)
 
-    def __call__(self, hv, hk, ho, lengths=None):
-        m = self.mlp(ndgrad.concat([hv, hk, ho], axis=1))
+    def __call__(self, hv, hk, ho, lengths):
+        m = self.mlp(ndgrad.concat([hv, hk, ho]))
         return ndgrad.add(hv, m), ndgrad.add(hk, m), ndgrad.add(ho, m)
 
 
@@ -252,8 +253,8 @@ class ConvFusion:
     def __init__(self, store, rng, name, d):
         self.conv = TemporalConv(store, rng, f"{name}.conv", 3 * d, d, zero_init=True)
 
-    def __call__(self, hv, hk, ho, lengths=None):
-        m = self.conv(ndgrad.concat([hv, hk, ho], axis=1), lengths)
+    def __call__(self, hv, hk, ho, lengths):
+        m = self.conv(ndgrad.concat([hv, hk, ho]), lengths)
         return ndgrad.add(hv, m), ndgrad.add(hk, m), ndgrad.add(ho, m)
 
 
@@ -262,7 +263,8 @@ class AttnFusion:
 
     Each modality adds the attention read-outs against the other two; the
     output projection starts at zero (residual identity at init).  A row
-    attends only to the rows of its own sample.
+    attends only to the rows of its own sample.  Queries, keys and values
+    are projected once per modality and shared by both of its pairs.
     """
 
     def __init__(self, store, rng, name, d):
@@ -273,21 +275,19 @@ class AttnFusion:
         self.wv = store.new(f"{name}.wv", rng.normal(0.0, scale, (d, d)))
         self.wo = store.new(f"{name}.wo", np.zeros((d, d)))
 
-    def _attend(self, query_src, kv_src, lengths):
-        q = ndgrad.matmul(query_src, self.wq)
-        k = ndgrad.matmul(kv_src, self.wk)
-        v = ndgrad.matmul(kv_src, self.wv)
-        read = ndgrad.segment_attention(q, k, v, 1.0 / math.sqrt(self.d), lengths)
-        return ndgrad.matmul(read, self.wo)
+    def __call__(self, hv, hk, ho, lengths):
+        hs = (hv, hk, ho)
+        q, k, v = ([ndgrad.matmul(h, w) for h in hs] for w in (self.wq, self.wk, self.wv))
+        scale = 1.0 / math.sqrt(self.d)
 
-    def __call__(self, hv, hk, ho, lengths=None):
-        outs = []
-        triples = ((hv, hk, ho), (hk, hv, ho), (ho, hv, hk))
-        for a, b, c in triples:
-            outs.append(
-                ndgrad.add(ndgrad.add(a, self._attend(a, b, lengths)), self._attend(a, c, lengths))
-            )
-        return tuple(outs)
+        def read(i, j):  # modality i attending to modality j
+            att = ndgrad.segment_attention(q[i], k[j], v[j], scale, lengths)
+            return ndgrad.matmul(att, self.wo)
+
+        return tuple(
+            ndgrad.add(ndgrad.add(hs[i], read(i, j)), read(i, n))
+            for i, (j, n) in enumerate(((1, 2), (0, 2), (0, 1)))
+        )
 
 
 _FUSIONS = {"mlp": MlpFusion, "conv": ConvFusion, "attn": AttnFusion}
@@ -308,7 +308,7 @@ class FrozenTextEncoder:
         self._embeddings = {}
         self._tokens_per_gloss = {}
         for gloss in vocab.glosses:
-            n_tok = 1 + _stable_parity(gloss)
+            n_tok = 1 + (_digest64(gloss) & 1)
             self._tokens_per_gloss[gloss] = n_tok
             for i in range(n_tok):
                 key = f"{gloss}#{i}"
@@ -333,10 +333,6 @@ class FrozenTextEncoder:
         feats = ndgrad.gelu(Array(emb @ self.mix_w + self.mix_b))
         eos = ndgrad.gelu(Array(self._embeddings["<eos>"][None, :] @ self.mix_w + self.mix_b))
         return TextFeatures(features=feats, token_to_gloss=token_to_gloss, eos_feature=eos)
-
-
-def _digest64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
 class Model:
@@ -391,9 +387,7 @@ class Model:
                 stride = cfg.temporal_strides[-1 - lvl]
                 uname = f"spn_{m}.up{lvl}"
                 ups.append(
-                    TemporalUpsample(
-                        self.store, _name_rng(seed, uname), uname, cfg.d_v, stride=stride
-                    )
+                    TemporalUpsample(self.store, _name_rng(seed, uname), uname, cfg.d_v, stride)
                 )
                 hname = f"spn_{m}.head{lvl}"
                 heads.append(
@@ -491,7 +485,7 @@ class Model:
         feats = self._branches_fused(xv, xk, xo, lengths, levels)
 
         top = levels[-1]
-        joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]], axis=1)
+        joint = ndgrad.concat([feats["v"][-1], feats["k"][-1], feats["o"][-1]])
         streams = {key: self.heads[key](feats[key][-1], top) for key in ("v", "k", "o")}
         streams["c"] = self.heads["c"](joint, top)
         return Recognition(streams=streams, block_feats=feats, block_lengths=levels, joint=joint)
@@ -526,7 +520,7 @@ class Model:
         )
 
 
-def align_glosses(outputs: ModelOutputs, label_ids, index: int = 0):
+def align_glosses(outputs: ModelOutputs, label_ids, index: int):
     """Gloss-level alignment of packed sample ``index``: (DTW path, its spans,
     visual-textual pair matrices).
 
@@ -548,7 +542,7 @@ def compute_losses(
     outputs: ModelOutputs,
     label_ids,
     weights: LossWeights,
-    include_align: bool = True,
+    include_align: bool,
 ) -> LossTerms:
     """Recognition + auxiliary + alignment losses of a pack, weighted and
     summed into one scalar.

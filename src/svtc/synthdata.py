@@ -36,6 +36,8 @@ class HeatmapConfig:
             raise ValueError("sigma must be positive")
         if self.height < 1 or self.width < 1:
             raise ValueError("canvas extents must be >= 1")
+        if self.n_keypoints < 1:
+            raise ValueError(f"n_keypoints must be >= 1, got {self.n_keypoints}")
 
 
 @dataclass
@@ -61,6 +63,16 @@ class GenConfig:
         self.frames_per_gloss = tuple(self.frames_per_gloss)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_train", "n_dev", "n_test", "d_v_in", "d_k_in", "d_o_in"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.use_heatmaps and self.d_k_in != self.heatmap.n_keypoints:
+            raise ValueError(
+                "heatmap corpora need d_k_in == heatmap.n_keypoints, "
+                f"got {self.d_k_in} and {self.heatmap.n_keypoints}"
+            )
         if self.n_glosses < 2:
             raise ValueError("need at least 2 glosses (C >= 3)")
         lo, hi = self.sentence_len
@@ -260,8 +272,6 @@ def generate_corpus(cfg: GenConfig, out_dir) -> list:
     records = []
     index = 0
     for split, count in splits:
-        if count < 1:
-            raise ValueError(f"split {split} needs at least one sample")
         for i in range(count):
             sample_id = f"{split}-{i:05d}"
             sample, spans, points = generate_sample(spec, index, sample_id)

@@ -116,7 +116,7 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
 
-    def step(self, lr: float, weight_decay: float = 0.0, grad_scale: float = 1.0):
+    def step(self, lr: float, weight_decay: float, grad_scale: float):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
@@ -180,7 +180,7 @@ def load_checkpoint(base_path) -> net.Model:
     return model
 
 
-def decode_sample(model: net.Model, sample, width: int = 5, head: str = "avg") -> list:
+def decode_sample(model: net.Model, sample, width: int, head: str) -> list:
     """Gloss ids for one sample via beam search over the selected stream.
 
     Only the recognition trunk runs: the pyramid and adapters supervise
@@ -203,7 +203,7 @@ def evaluate_split(model, samples, width=5, head="avg", workers=None):
 
     def one(pair):
         sample, _ = pair
-        hyp = decode_sample(model, sample, width=width, head=head)
+        hyp = decode_sample(model, sample, width, head)
         ref = model.vocab.ids(sample.glosses)
         return sample.id, hyp, wer(ref, hyp)
 
@@ -217,7 +217,7 @@ def evaluate_split(model, samples, width=5, head="avg", workers=None):
     return report, decodes
 
 
-def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg=None, gen_seed=0):
+def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg, gen_seed: int):
     rng = np.random.default_rng((tcfg.seed, _AUG_NS, epoch, index))
     if tcfg.frame_rate_aug:
         lo, hi = AUG_FACTOR_RANGE
@@ -375,7 +375,7 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, widths: dict | None = None):
     )
 
 
-def evaluate_corpus(checkpoint_base, corpus_dir, split="dev", width=5, head="avg"):
+def evaluate_corpus(checkpoint_base, corpus_dir, split: str, width=5, head="avg"):
     """Load a checkpoint and score one split; returns (report, decodes)."""
     model = load_checkpoint(checkpoint_base)
     pairs = synthdata.load_split(corpus_dir, split)
@@ -399,7 +399,7 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
     for sample, rec in pairs:
         label_ids = model.vocab.ids(sample.glosses)
         with ndgrad.no_grad():
-            path, spans, pair_mats = net.align_glosses(model.forward(sample), label_ids)
+            path, spans, pair_mats = net.align_glosses(model.forward(sample), label_ids, 0)
         matrices[sample.id] = pair_mats.v2t.data
         records.append(
             {
@@ -410,8 +410,8 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
             }
         )
         true_spans = rec.get("true_spans")
-        if true_spans and len(true_spans) == len(spans.spans) > 1:
-            pred_bounds = [s for s, _ in spans.spans[1:]]
+        if true_spans and len(true_spans) == len(spans) > 1:
+            pred_bounds = [s for s, _ in spans[1:]]
             true_bounds = [s / 4.0 for s, _ in true_spans[1:]]
             for p, t in zip(pred_bounds, true_bounds):
                 boundary_errors.append(abs(p - t))

@@ -5,7 +5,7 @@ import pytest
 
 from svtc import align
 from svtc import ndgrad as ng
-from svtc.align import AlignmentPath, SegmentSpans, dtw_align, path_to_spans
+from svtc.align import AlignmentPath, dtw_align, path_to_spans
 from svtc.gradcheck import finite_difference_grads
 from svtc.ndgrad import Array
 
@@ -123,12 +123,10 @@ class TestDtwAlign:
 
 class TestPathToSpans:
     def test_basic(self):
-        spans = path_to_spans(AlignmentPath([0, 0, 1], 0.0))
-        assert spans.spans == [(0, 2), (2, 3)]
+        assert path_to_spans(AlignmentPath([0, 0, 1], 0.0)) == [(0, 2), (2, 3)]
 
     def test_unit_spans(self):
-        spans = path_to_spans(AlignmentPath([0, 1, 2], 0.0))
-        assert spans.spans == [(0, 1), (1, 2), (2, 3)]
+        assert path_to_spans(AlignmentPath([0, 1, 2], 0.0)) == [(0, 1), (1, 2), (2, 3)]
 
     def test_partition_property_on_random_paths(self):
         rng = np.random.default_rng(7)
@@ -138,8 +136,9 @@ class TestPathToSpans:
             M = rng.uniform(0.01, 1.0, size=(T, N))
             path = dtw_align(M)
             spans = path_to_spans(path)
-            spans.validate(total=T)
-            assert len(spans.spans) == N  # every gloss owns a nonempty segment
+            assert spans[0][0] == 0 and spans[-1][1] == T
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert len(spans) == N  # every gloss owns a nonempty segment
 
     def test_dtw_then_spans_always_n_nonempty(self):
         rng = np.random.default_rng(8)
@@ -149,30 +148,34 @@ class TestPathToSpans:
             if N > T:
                 continue
             spans = path_to_spans(dtw_align(rng.uniform(0.01, 1, (T, N))))
-            assert len(spans.spans) == N
+            assert len(spans) == N
             assert all(e > s for s, e in spans)
 
 
 class TestPoolVisual:
     def test_constant_features(self):
         f = Array(np.full((5, 3), 1.5))
-        spans = SegmentSpans([(0, 2), (2, 5)])
-        out = align.pool_visual(f, spans)
+        out = align.pool_visual(f, [(0, 2), (2, 5)], (0, 5))
         np.testing.assert_array_equal(out.data, np.full((2, 3), 1.5))
 
     def test_two_span_mean(self):
         f = Array(np.array([[0.0], [2.0], [4.0]]))
-        out = align.pool_visual(f, SegmentSpans([(0, 2), (2, 3)]))
+        out = align.pool_visual(f, [(0, 2), (2, 3)], (0, 3))
         np.testing.assert_array_equal(out.data, [[1.0], [4.0]])
+
+    def test_rows_select_the_sample_in_a_pack(self):
+        f = Array(np.arange(8.0).reshape(8, 1))
+        out = align.pool_visual(f, [(0, 2), (2, 5)], (3, 8))
+        np.testing.assert_array_equal(out.data, [[3.5], [6.0]])
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
         f = Array(rng.standard_normal((6, 2)), grad_tracked=True)
-        spans = SegmentSpans([(0, 1), (1, 4), (4, 6)])
+        spans = [(0, 1), (1, 4), (4, 6)]
         w = Array(rng.standard_normal((3, 2)))
 
         def forward():
-            return ng.reduce_sum(ng.mul(align.pool_visual(f, spans), w))
+            return ng.reduce_sum(ng.mul(align.pool_visual(f, spans, (0, 6)), w))
 
         ng.backward(forward())
         (num,) = finite_difference_grads(forward, [f])
@@ -187,7 +190,7 @@ class TestPoolVisual:
             path = dtw_align(rng.uniform(0.01, 1, (T, N)))
             spans = path_to_spans(path)
             f = rng.standard_normal((T, 5))
-            pooled = align.pool_visual(Array(f), spans).data
+            pooled = align.pool_visual(Array(f), spans, (0, T)).data
             recon = np.zeros(5)
             for i, (s, e) in enumerate(spans):
                 recon += (e - s) * pooled[i]
@@ -195,22 +198,24 @@ class TestPoolVisual:
 
     def test_partition_enforced(self):
         f = Array(np.ones((5, 2)))
-        with pytest.raises(ValueError):
-            align.pool_visual(f, SegmentSpans([(0, 2), (3, 5)]))  # gap
-        with pytest.raises(ValueError):
-            align.pool_visual(f, SegmentSpans([(0, 2), (2, 4)]))  # short
+        with pytest.raises(ValueError, match="do not partition"):
+            align.pool_visual(f, [(0, 2), (3, 5)], (0, 5))  # gap
+        with pytest.raises(ValueError, match="do not partition"):
+            align.pool_visual(f, [(0, 2), (2, 4)], (0, 5))  # short
+        with pytest.raises(ValueError, match="do not partition"):
+            align.pool_visual(f, [(1, 5)], (0, 5))  # late start
 
 
 class TestPoolTokens:
     def test_one_token_per_gloss_identity(self):
         rng = np.random.default_rng(11)
         f = Array(rng.standard_normal((4, 3)))
-        out = align.pool_tokens(f, [0, 1, 2, 3])
+        out = align.pool_tokens(f, [0, 1, 2, 3], (0, 4))
         np.testing.assert_array_equal(out.data, f.data)
 
     def test_split_gloss_mean(self):
         f = Array(np.array([[2.0], [4.0], [9.0]]))
-        out = align.pool_tokens(f, [0, 0, 1])
+        out = align.pool_tokens(f, [0, 0, 1], (0, 3))
         np.testing.assert_array_equal(out.data, [[3.0], [9.0]])
 
     def test_random_maps_against_group_by_oracle(self):
@@ -220,7 +225,7 @@ class TestPoolTokens:
             counts = rng.integers(1, 3, size=n_gloss)
             mapping = [g for g, c in enumerate(counts) for _ in range(int(c))]
             f = rng.standard_normal((len(mapping), 4))
-            got = align.pool_tokens(Array(f), mapping).data
+            got = align.pool_tokens(Array(f), mapping, (0, len(mapping))).data
             for g in range(n_gloss):
                 rows = [i for i, m in enumerate(mapping) if m == g]
                 np.testing.assert_allclose(got[g], f[rows].mean(axis=0), atol=1e-12)
@@ -228,8 +233,8 @@ class TestPoolTokens:
     def test_non_monotonic_or_gappy_map_rejected(self):
         f = Array(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            align.pool_tokens(f, [0, 2, 2])  # skips gloss 1
+            align.pool_tokens(f, [0, 2, 2], (0, 3))  # skips gloss 1
         with pytest.raises(ValueError):
-            align.pool_tokens(f, [1, 0, 1])
+            align.pool_tokens(f, [1, 0, 1], (0, 3))
         with pytest.raises(ValueError):
-            align.pool_tokens(f, [0, 1])  # wrong length
+            align.pool_tokens(f, [0, 1], (0, 3))  # wrong length

@@ -17,7 +17,7 @@ from svtc import ndgrad as ng
 from svtc import train as train_mod
 from svtc.cli import main
 from svtc.ndgrad import Array
-from svtc.synthdata import GenConfig
+from svtc.synthdata import GenConfig, HeatmapConfig
 from svtc.train import (
     Adam,
     TrainConfig,
@@ -283,6 +283,35 @@ class TestTrainConfigFile:
         assert f"error: unknown model config keys: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_every_flag_sets_its_train_field(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(corpus, out, tcfg, widths):
+            seen.append(tcfg)
+            return SimpleNamespace(best_dev_wer=0.0, checkpoint_path=out)
+
+        monkeypatch.setattr(train_mod, "train", record)
+        flags = [
+            "--epochs", "7", "--lr0", "0.5", "--weight-decay", "0.25", "--batch-size", "3",
+            "--align-warmup", "2", "--lambda-ctc", "2", "--lambda-spn", "3", "--lambda-g", "4",
+            "--lambda-s", "5", "--fusion", "conv", "--seed", "6", "--no-frame-rate-aug",
+        ]
+        assert self.run_with(tmp_path, {"train": {"frame_rate_aug": True}}, extra=flags) == 0
+        assert seen == [
+            TrainConfig(
+                epochs=7, lr0=0.5, weight_decay=0.25, batch_size=3, align_warmup_epochs=2,
+                lambda_ctc=2.0, lambda_spn=3.0, lambda_g=4.0, lambda_s=5.0, seed=6,
+                fusion="conv", frame_rate_aug=False,
+            )
+        ]
+
+    def test_flags_are_checked_with_the_config(self, tmp_path, capsys, no_training):
+        # --align-warmup 3 fits the file's 5 epochs, not --epochs 2
+        config = {"train": {"epochs": 5, "align_warmup_epochs": 1}}
+        extra = ["--epochs", "2", "--align-warmup", "3"]
+        assert self.run_with(tmp_path, config, extra=extra) == 2
+        assert "warm-up must be shorter than the run" in capsys.readouterr().err
+
     def test_model_only_config_trains(self, tiny_corpus, tmp_path):
         extra = ["--epochs", "1", "--align-warmup", "0"]
         assert self.run_with(tmp_path, {"model": {"d_v": 8}}, tiny_corpus, extra) == 0
@@ -328,10 +357,10 @@ class TestStreamBoundary:
         terms = net.compute_losses(model.forward(sample), ids, net.LossWeights(), True)
         ng.backward(terms.total)
         assert len(built) == 0
-        train_mod.decode_sample(model, sample, head="avg")
+        train_mod.decode_sample(model, sample, 5, "avg")
         assert len(built) == 5  # four heads plus their average
         built.clear()
-        train_mod.decode_sample(model, sample, head="c")
+        train_mod.decode_sample(model, sample, 5, "c")
         assert len(built) == 1
 
 
@@ -446,7 +475,7 @@ class TestEvalAndDecode:
         pairs = synthdata.load_split(tiny_corpus, "dev")
         reports = []
         for sample, _ in pairs:
-            hyp = decode_sample(model, sample, width=5)
+            hyp = decode_sample(model, sample, 5, "avg")
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
         agg = aggregate_reports(reports)
         total_edits = sum(r.distance for r in reports)
@@ -487,7 +516,7 @@ class TestEvalAndDecode:
             forward = recognize
 
         with pytest.raises(ValueError, match="unknown head 'x'"):
-            decode_sample(Untouchable(), sample=None, head="x")
+            decode_sample(Untouchable(), None, 5, "x")
 
     def test_decode_line_format(self, tiny_corpus, tiny_run, tmp_path):
         _, artifacts, _ = tiny_run
@@ -600,7 +629,7 @@ class TestGradcheckCommand:
 
         for name in names:
             monkeypatch.setattr(ng, name, counting(name, getattr(ng, name)))
-        results = gradcheck.run_suite(include_model=False)
+        results = gradcheck.run_suite(0, include_model=False)
         assert all(r.passed for r in results)
         assert sorted(set(names) - called) == []
 
@@ -721,6 +750,30 @@ class TestExitCodes:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ('{"n_train": -1}', [], "n_train must be >= 1, got -1"),
+            ('{"n_dev": 0}', [], "n_dev must be >= 1, got 0"),
+            ('{"d_v_in": 0}', [], "d_v_in must be >= 1, got 0"),
+            ('{"noise": -1}', [], "noise must be finite and >= 0, got -1"),
+            ('{"noise": NaN}', [], "noise must be finite and >= 0, got nan"),
+            ('{"heatmap": {"n_keypoints": 0}}', ["--heatmaps"], "n_keypoints must be >= 1"),
+            ('{"heatmap": {"n_keypoints": 5}}', ["--heatmaps"], "d_k_in == heatmap.n_keypoints"),
+        ],
+        ids=["n-train", "n-dev", "d-v-in", "noise-negative", "noise-nan", "no-keypoints",
+             "keypoints-not-d-k-in"],
+    )
+    def test_invalid_generation_config_writes_nothing(
+        self, tmp_path, capsys, config, flags, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)  # NaN is not JSON, but json.load reads it
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out), "--config", str(cfg_path), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_is_an_unknown_subcommand(self, capsys):
         assert main(["bench"]) == 1
         assert "invalid choice: 'bench'" in capsys.readouterr().err
@@ -790,7 +843,7 @@ class TestAdam:
         opt = Adam({"a": a, "b": b})
         a.grad = np.full(3, 0.5)
         before = b.data.copy()
-        opt.step(0.1, weight_decay=0.01)
+        opt.step(0.1, 0.01, 1.0)
         assert not np.array_equal(a.data, np.ones(3))
         np.testing.assert_array_equal(b.data, before)
 
@@ -822,11 +875,10 @@ class TestAdam:
 
 class TestHeatmapTraining:
     def test_heatmap_corpus_trains(self, tmp_path):
+        canvas = HeatmapConfig(height=8, width=8, n_keypoints=4)
         cfg = GenConfig(
-            n_train=6, n_dev=2, n_test=2, seed=2, use_heatmaps=True, d_k_in=4
+            n_train=6, n_dev=2, n_test=2, seed=2, use_heatmaps=True, d_k_in=4, heatmap=canvas
         )
-        cfg.heatmap.n_keypoints = 4
-        cfg.heatmap.height = cfg.heatmap.width = 8
         corpus = tmp_path / "hm"
         synthdata.generate_corpus(cfg, corpus)
         tcfg = TrainConfig(epochs=1, align_warmup_epochs=0, seed=0)
@@ -836,9 +888,10 @@ class TestHeatmapTraining:
     def test_crop_augment_is_exercised(self, tmp_path):
         from svtc.train import _augment
 
-        cfg = GenConfig(n_train=3, n_dev=1, n_test=1, seed=2, use_heatmaps=True, d_k_in=4)
-        cfg.heatmap.n_keypoints = 4
-        cfg.heatmap.height = cfg.heatmap.width = 8
+        canvas = HeatmapConfig(height=8, width=8, n_keypoints=4)
+        cfg = GenConfig(
+            n_train=3, n_dev=1, n_test=1, seed=2, use_heatmaps=True, d_k_in=4, heatmap=canvas
+        )
         corpus = tmp_path / "hm"
         synthdata.generate_corpus(cfg, corpus)
         sample, _ = synthdata.load_split(corpus, "train")[0]

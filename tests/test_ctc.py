@@ -216,7 +216,7 @@ class TestCtcLoss:
         rng = np.random.default_rng(41)
         lengths = [7, 12, 7, 9, 12]
         arrays = [Array(np.log(random_stream(rng, T, 4)), grad_tracked=True) for T in lengths]
-        terms = ctc_loss_group(arrays, [labels])
+        terms = ctc_loss_group(arrays, [labels], [(T,) for T in lengths])
         total = ng.add(ng.add(ng.add(ng.add(terms[0], terms[1]), terms[2]), terms[3]), terms[4])
         ng.backward(ng.reduce_sum(total))
         for a, term in zip(arrays, terms):
@@ -232,7 +232,7 @@ class TestCtcLoss:
         lengths = [8] * 4 + [8, 8, 8, 15, 15, 15]
         grouped = [Array(np.log(random_stream(rng, T, 5)), grad_tracked=True) for T in lengths]
         alone = [Array(a.data.copy(), grad_tracked=True) for a in grouped]
-        terms = ctc_loss_group(grouped, [labels])
+        terms = ctc_loss_group(grouped, [labels], [(T,) for T in lengths])
         for term in terms:
             ng.backward(ng.reduce_sum(term))
         for a, b, term in zip(grouped, alone, terms):
@@ -274,7 +274,7 @@ class TestCtcLoss:
         rng = np.random.default_rng(13)
         labels = [2, 1, 1]
         arrays = [Array(np.log(random_stream(rng, 7, 4))) for _ in range(5)]
-        grouped = ctc_loss_group(arrays, [labels])
+        grouped = ctc_loss_group(arrays, [labels], [(7,)] * 5)
         for a, g in zip(arrays, grouped):
             assert g.item() == pytest.approx(ctc_loss(a, labels).item(), abs=1e-12)
 

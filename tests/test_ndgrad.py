@@ -75,11 +75,13 @@ def test_fused_bias_bitwise_equals_separate_add(op):
     x0 = rng.standard_normal((9, 6))
     w0 = rng.standard_normal((6, 4) if op == "matmul" else (3, 6, 4))
     b0, g = rng.standard_normal(4), Array(rng.standard_normal((9, 4)))
+    # the conv runs one 9-row segment at stride 1
+    geometry = () if op == "matmul" else ((9,), 1)
     results = []
     for fused in (True, False):
         x, w, b = (Array(v, grad_tracked=True) for v in (x0, w0, b0))
         product = getattr(ng, op)
-        y = product(x, w, bias=b) if fused else ng.add(product(x, w), b)
+        y = product(x, w, *geometry, bias=b) if fused else ng.add(product(x, w, *geometry), b)
         ng.backward(ng.reduce_sum(ng.mul(ng.gelu(y), g)))
         results.append([y.data.tobytes()] + [a.grad.tobytes() for a in (x, w, b)])
     assert results[0] == results[1]
@@ -89,20 +91,20 @@ class TestTemporalConv:
     def test_delta_kernel_identity(self):
         x = Array([[1.0], [2.0], [3.0]])
         w = Array(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
-        np.testing.assert_array_equal(ng.temporal_conv(x, w).data, x.data)
+        np.testing.assert_array_equal(ng.temporal_conv(x, w, (3,), 1).data, x.data)
 
     def test_stride_two_boundary_sums(self):
         # direct convolution oracle: left-heavy same padding of [1,1,1,1]
         x = Array(np.ones((4, 1)))
         w = Array(np.ones((3, 1, 1)))
-        out = ng.temporal_conv(x, w, stride=2)
+        out = ng.temporal_conv(x, w, (4,), 2)
         np.testing.assert_array_equal(out.data.ravel(), [2.0, 3.0])
 
     def test_same_padding_lengths(self):
         w = Array(np.ones((3, 1, 2)))
         for T in (1, 2, 3, 7, 8):
             for stride in (1, 2, 3):
-                out = ng.temporal_conv(Array(np.ones((T, 1))), w, stride=stride)
+                out = ng.temporal_conv(Array(np.ones((T, 1))), w, (T,), stride)
                 assert out.data.shape == (-(-T // stride), 2)
 
     def test_direct_convolution_oracle(self):
@@ -110,7 +112,7 @@ class TestTemporalConv:
         T, cin, cout, k, stride = 9, 3, 2, 3, 2
         x = rng.standard_normal((T, cin))
         w = rng.standard_normal((k, cin, cout))
-        got = ng.temporal_conv(Array(x), Array(w), stride=stride).data
+        got = ng.temporal_conv(Array(x), Array(w), (T,), stride).data
         t_out = -(-T // stride)
         pad = max((t_out - 1) * stride + k - T, 0)
         pl = (pad + 1) // 2
@@ -141,21 +143,21 @@ class TestTemporalConv:
                 xp[pl : pl + T] = x
                 win = np.stack([xp[t * stride : t * stride + k].ravel() for t in range(t_out)])
                 want = win @ w.reshape(k * cin, 5)
-                got = ng.temporal_conv(Array(x), Array(w), stride=stride).data
+                got = ng.temporal_conv(Array(x), Array(w), (T,), stride).data
                 assert got.tobytes() == want.tobytes(), (T, cin)
 
     def test_gradient_sum_of_output(self):
         rng = np.random.default_rng(3)
         x = Array(rng.standard_normal((7, 2)), grad_tracked=True)
         w = Array(rng.standard_normal((3, 2, 3)), grad_tracked=True)
-        check_grads(lambda: ng.reduce_sum(ng.temporal_conv(x, w, stride=2)), [x, w], tol=1e-6)
+        check_grads(lambda: ng.reduce_sum(ng.temporal_conv(x, w, (7,), 2)), [x, w], tol=1e-6)
 
     def test_errors(self):
         w = Array(np.ones((3, 1, 1)))
-        with pytest.raises(ValueError):
-            ng.temporal_conv(Array(np.ones((0, 1))), w)
-        with pytest.raises(ValueError):
-            ng.temporal_conv(Array(np.ones((4, 1))), Array(np.ones((2, 1, 1))))
+        with pytest.raises(ValueError, match="empty time axis"):
+            ng.temporal_conv(Array(np.ones((0, 1))), w, (0,), 1)
+        with pytest.raises(ValueError, match="odd"):
+            ng.temporal_conv(Array(np.ones((4, 1))), Array(np.ones((2, 1, 1))), (4,), 1)
 
 
 def same_padded(x, T, k, stride):
@@ -177,7 +179,7 @@ class TestPackedConv:
         k, cin, cout = 3, 12, 5
         x0, w0 = rng.standard_normal((T, cin)), rng.standard_normal((k, cin, cout))
         x, w = Array(x0, grad_tracked=True), Array(w0, grad_tracked=True)
-        out = ng.temporal_conv(x, w, stride=stride)
+        out = ng.temporal_conv(x, w, (T,), stride)
         g = rng.standard_normal(out.data.shape)
         ng.backward(ng.reduce_sum(ng.mul(out, g)))
         xp, t_out, pad, pl = same_padded(x0, T, k, stride)
@@ -198,16 +200,16 @@ class TestPackedConv:
         lengths = (8, 9, 10, 11, 1)
         w0, b0 = rng.standard_normal((3, 4, 2)), rng.standard_normal(2)
         xs = [rng.standard_normal((n, 4)) for n in lengths]
-        packed = ng.temporal_conv(Array(np.concatenate(xs)), Array(w0), stride, b0, lengths)
-        alone = [ng.temporal_conv(Array(x), Array(w0), stride, b0).data for x in xs]
+        packed = ng.temporal_conv(Array(np.concatenate(xs)), Array(w0), lengths, stride, b0)
+        alone = [ng.temporal_conv(Array(x), Array(w0), x.shape[:1], stride, b0).data for x in xs]
         np.testing.assert_allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
 
     def test_segment_lengths_must_cover_rows(self):
         w = Array(np.ones((3, 1, 1)))
         with pytest.raises(ValueError, match="do not add up"):
-            ng.temporal_conv(Array(np.ones((5, 1))), w, lengths=(2, 2))
+            ng.temporal_conv(Array(np.ones((5, 1))), w, (2, 2), 1)
         with pytest.raises(ValueError):
-            ng.temporal_conv(Array(np.ones((5, 1))), w, lengths=(5, 0))
+            ng.temporal_conv(Array(np.ones((5, 1))), w, (5, 0), 1)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("length", [1, 5, 8, 13])
@@ -217,7 +219,7 @@ class TestPackedConv:
         T = -(-length // stride)
         x0, w0 = rng.standard_normal((T, cout)), rng.standard_normal((k, cin, cout))
         x, w = Array(x0, grad_tracked=True), Array(w0, grad_tracked=True)
-        out = ng.transposed_temporal_conv(x, w, length, stride=stride)
+        out = ng.transposed_temporal_conv(x, w, (length,), stride)
         g = rng.standard_normal((length, cin))
         ng.backward(ng.reduce_sum(ng.mul(out, g)))
         _, _, pad, pl = same_padded(np.zeros((length, 1)), length, k, stride)
@@ -243,12 +245,12 @@ class TestPackedConv:
         x = Array(np.concatenate(xs))
         packed = ng.transposed_temporal_conv(x, Array(w0), lengths, stride)
         alone = [
-            ng.transposed_temporal_conv(Array(x), Array(w0), n, stride).data
+            ng.transposed_temporal_conv(Array(x), Array(w0), (n,), stride).data
             for x, n in zip(xs, lengths)
         ]
         np.testing.assert_allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
         y = rng.standard_normal((sum(lengths), 3))
-        conv = ng.temporal_conv(Array(y), Array(w0), stride, lengths=lengths)
+        conv = ng.temporal_conv(Array(y), Array(w0), lengths, stride)
         lhs = float((packed.data * y).sum())
         rhs = float((x.data * conv.data).sum())
         assert abs(lhs - rhs) <= 1e-10
@@ -271,8 +273,11 @@ class TestSegmentAttention:
             x = Array(src, grad_tracked=True)
             wq, wk, wv = (Array(p, grad_tracked=True) for p in projections)
             q, k, v = ng.matmul(x, wq), ng.matmul(x, wk), ng.matmul(x, wv)
-            attend = ng.segment_attention if fused else attention_chain
-            read = attend(q, k, v, 1.0 / math.sqrt(d))
+            scale = 1.0 / math.sqrt(d)
+            if fused:
+                read = ng.segment_attention(q, k, v, scale, (T,))
+            else:
+                read = attention_chain(q, k, v, scale)
             ng.backward(ng.reduce_sum(ng.gelu(ng.matmul(read, Array(wo)))))
             results.append([read.data.tobytes()] + [a.grad.tobytes() for a in (x, wq, wk, wv)])
         assert results[0] == results[1]
@@ -303,10 +308,11 @@ class TestTransposedTemporalConv:
     def test_stride_one_delta_identity(self):
         x = Array([[1.0], [2.0], [3.0]])
         w = Array(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
-        np.testing.assert_array_equal(ng.transposed_temporal_conv(x, w, 3).data, x.data)
+        np.testing.assert_array_equal(ng.transposed_temporal_conv(x, w, (3,), 1).data, x.data)
 
     def test_stride_two_doubles_length(self):
-        out = ng.transposed_temporal_conv(Array(np.ones((3, 2))), Array(np.ones((3, 4, 2))), 6, stride=2)
+        x, w = Array(np.ones((3, 2))), Array(np.ones((3, 4, 2)))
+        out = ng.transposed_temporal_conv(x, w, (6,), 2)
         assert out.data.shape == (6, 4)
 
     def test_adjoint_identity(self):
@@ -322,16 +328,17 @@ class TestTransposedTemporalConv:
                 w = rng.standard_normal((3, cin, cout))
                 for length in range((T - 1) * stride + 1, T * stride + 1):
                     y = rng.standard_normal((length, cin))
-                    up = ng.transposed_temporal_conv(Array(x), Array(w), length, stride=stride)
+                    up = ng.transposed_temporal_conv(Array(x), Array(w), (length,), stride)
                     lhs = float((up.data * y).sum())
-                    rhs = float((x * ng.temporal_conv(Array(y), Array(w), stride=stride).data).sum())
+                    conv = ng.temporal_conv(Array(y), Array(w), (length,), stride)
+                    rhs = float((x * conv.data).sum())
                     assert abs(lhs - rhs) <= 1e-10, (stride, T, length)
 
     def test_mismatched_length_rejected(self):
         x, w = Array(np.ones((3, 2))), Array(np.ones((3, 4, 2)))
         for length in (4, 7, 0):
             with pytest.raises(ValueError):
-                ng.transposed_temporal_conv(x, w, length, stride=2)
+                ng.transposed_temporal_conv(x, w, (length,), 2)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
@@ -341,7 +348,7 @@ class TestTransposedTemporalConv:
         proj = Array(rng.standard_normal((5, 3)))
         check_grads(
             lambda: ng.reduce_sum(
-                ng.mul(ng.transposed_temporal_conv(x, w, 5, stride=2, bias=b), proj)
+                ng.mul(ng.transposed_temporal_conv(x, w, (5,), 2, bias=b), proj)
             ),
             [x, w, b],
         )
@@ -444,7 +451,7 @@ class TestShapeOps:
         a = Array(rng.standard_normal((3, 2)), grad_tracked=True)
         b = Array(rng.standard_normal((3, 4)), grad_tracked=True)
         w = Array(rng.standard_normal((3, 6)))
-        check_grads(lambda: ng.reduce_sum(ng.mul(ng.concat([a, b], axis=1), w)), [a, b])
+        check_grads(lambda: ng.reduce_sum(ng.mul(ng.concat([a, b]), w)), [a, b])
 
     def test_transpose(self):
         x = Array(np.arange(6.0).reshape(2, 3))
@@ -553,13 +560,15 @@ class TestBlanketGradientInvariant:
             lambda: ng.reduce_sum(ng.mul(ng.add(ng.neg(x), ng.mul(x, x)), proj)),
             lambda: ng.reduce_sum(ng.mul(softmax(x, axis=1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.log_softmax(x, axis=1), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w), proj)),
+            lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w, (5,), 1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.pool_spans(x, spans), span_w)),
-            lambda: ng.reduce_sum(ng.mul(ng.transposed_temporal_conv(x, w, 9, stride=2), up_proj)),
+            lambda: ng.reduce_sum(ng.mul(ng.transposed_temporal_conv(x, w, (9,), 2), up_proj)),
         ]
         for forward in cases:
             check_grads(forward, [x], tol=1e-5)
-        check_grads(lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w), proj)), [w], tol=1e-5)
+        check_grads(
+            lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w, (5,), 1), proj)), [w], tol=1e-5
+        )
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Model wiring: shapes, fusion identities, parameter isolation, determinism."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -70,8 +71,15 @@ class TestModelConfig:
         model = Model(small_cfg(), VOCAB)
         assert model.cfg.temporal_strides == (1, 2, 2, 1) and model.cfg.spn_levels == 2
         assert len(model.blocks["v"]) == 4 and len(model.fusions) == 3
+        windows = [b.w for b in model.blocks["v"]] + [u.w for u in model.spn_ups["v"]]
+        assert {w.data.shape[0] for w in windows} == {net.KERNEL} == {3}
         with pytest.raises(TypeError):
             ModelConfig(vocab_size=4, temporal_strides=(1, 2, 2, 2))
+
+    @pytest.mark.parametrize("field", ["in_dim_v", "in_dim_k", "in_dim_o"])
+    def test_input_width_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match="input widths must be >= 1"):
+            small_cfg(**{field: 0})
 
     def test_heads_are_d_v_wide(self):
         model = Model(small_cfg(d_v=7), VOCAB)
@@ -150,7 +158,7 @@ class TestFusion:
                 p.data = np.random.default_rng(0).standard_normal(p.data.shape) * 0.3
         rng = np.random.default_rng(1)
         h = Array(rng.standard_normal((5, model.cfg.d_v)))
-        a, b, c = fusion(h, Array(h.data.copy()), Array(h.data.copy()))
+        a, b, c = fusion(h, Array(h.data.copy()), Array(h.data.copy()), (5,))
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(b.data, c.data)
 
@@ -166,11 +174,52 @@ class TestFusion:
         hv = Array(rng.standard_normal((5, d)), grad_tracked=True)
         hk = Array(rng.standard_normal((5, d)), grad_tracked=True)
         ho = Array(rng.standard_normal((5, d)), grad_tracked=True)
-        a, b, c = model.fusions[0](hv, hk, ho)
-        loss = ng.reduce_sum(ng.mul(ng.concat([a, b, c], axis=1), 1.0))
+        a, b, c = model.fusions[0](hv, hk, ho, (5,))
+        loss = ng.reduce_sum(ng.mul(ng.concat([a, b, c]), 1.0))
         ng.backward(loss)
         for leaf in (hv, hk, ho):
             assert leaf.grad is not None and np.any(leaf.grad != 0.0)
+
+    def test_attn_shared_projections_match_per_pair_composition(self):
+        # each pair once projected its own queries, keys and values: 18
+        # projections per site where 9 suffice.  The forward keeps its bytes;
+        # the projection gradients now sum both reads before one backward
+        model = Model(small_cfg(fusion_kind="attn", seed=9), VOCAB)
+        fusion = model.fusions[0]
+        rng = np.random.default_rng(8)
+        for name, p in model.parameters().items():
+            if name.startswith("fuse0"):
+                p.data = rng.standard_normal(p.data.shape) * 0.4
+        lengths = (7, 12, 5)
+        inputs = [rng.standard_normal((sum(lengths), model.cfg.d_v)) for _ in range(3)]
+        g = Array(rng.standard_normal((sum(lengths), 3 * model.cfg.d_v)))
+        weights = [fusion.wq, fusion.wk, fusion.wv, fusion.wo]
+
+        def per_pair(hv, hk, ho, lengths):
+            def attend(a, b):
+                q = ng.matmul(a, fusion.wq)
+                k, v = ng.matmul(b, fusion.wk), ng.matmul(b, fusion.wv)
+                read = ng.segment_attention(q, k, v, 1.0 / math.sqrt(fusion.d), lengths)
+                return ng.matmul(read, fusion.wo)
+
+            triples = ((hv, hk, ho), (hk, hv, ho), (ho, hv, hk))
+            return tuple(ng.add(ng.add(a, attend(a, b)), attend(a, c)) for a, b, c in triples)
+
+        runs = []
+        for fuse in (fusion, per_pair):
+            hs = [Array(x, grad_tracked=True) for x in inputs]
+            for w in weights:
+                w.grad = None
+            outs = fuse(*hs, lengths)
+            loss = ng.reduce_sum(ng.mul(ng.concat(list(outs)), g))
+            nodes = len(ng.Tape.trace(loss).entries)
+            ng.backward(loss)
+            runs.append((nodes, [o.data for o in outs], [a.grad for a in hs + weights]))
+        (nodes, outs, grads), (ref_nodes, ref_outs, ref_grads) = runs
+        assert nodes == ref_nodes - 9
+        assert [o.tobytes() for o in outs] == [o.tobytes() for o in ref_outs]
+        for got, want in zip(grads, ref_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestHeads:
@@ -224,14 +273,14 @@ class TestSpn:
             feats = branches(model, T)["v"]
             for lvl in range(2):
                 lateral = feats[-(lvl + 2)]
-                raised = model.spn_ups["v"][lvl](feats[-(lvl + 1)], lateral.data.shape[0])
+                raised = model.spn_ups["v"][lvl](feats[-(lvl + 1)], lateral.data.shape[:1])
                 assert raised.data.shape == lateral.data.shape
 
     def test_zero_lateral_additive_identity(self):
         model = Model(small_cfg(), VOCAB)
         rng = np.random.default_rng(1)
         top = Array(rng.standard_normal((4, model.cfg.d_v)))
-        raised = model.spn_ups["v"][1](top, 7)
+        raised = model.spn_ups["v"][1](top, (7,))
         summed = ng.add(raised, Array(np.zeros_like(raised.data)))
         np.testing.assert_array_equal(summed.data, raised.data)
 
@@ -343,7 +392,7 @@ class TestTextEncoder:
             out = model.forward(sample)
             terms = compute_losses(out, VOCAB.ids(sample.glosses), LossWeights(), True)
             ng.backward(terms.total)
-            optimizer.step(1e-3, 1e-3)
+            optimizer.step(1e-3, 1e-3, 1.0)
         assert encoded() == before
 
 
@@ -374,7 +423,7 @@ class TestModelForward:
             out = model.forward(sample)
             terms = compute_losses(out, VOCAB.ids(sample.glosses), LossWeights(), True)
             ng.backward(terms.total)
-            optimizer.step(1e-3, 1e-3)
+            optimizer.step(1e-3, 1e-3, 1.0)
             return (
                 terms.total.item(),
                 b"".join(p.data.tobytes() for p in model.parameters().values()),
@@ -478,7 +527,7 @@ class TestPacking:
                 )
                 ids = VOCAB.ids(sample.glosses)
                 path, spans, pairs = net.align_glosses(packed, ids, i)
-                want_path, want_spans, want_pairs = net.align_glosses(alone, ids)
+                want_path, want_spans, want_pairs = net.align_glosses(alone, ids, 0)
                 assert path.assignment == want_path.assignment and spans == want_spans
                 np.testing.assert_allclose(pairs.v2t.data, want_pairs.v2t.data, atol=1e-12)
 
@@ -486,11 +535,11 @@ class TestPacking:
         model = Model(small_cfg(), VOCAB)
         sample = make_sample()
         ids = VOCAB.ids(sample.glosses)
-        bare = compute_losses(model.forward(sample), ids, LossWeights())
-        nested = compute_losses(model.forward(sample), [ids], LossWeights())
+        bare = compute_losses(model.forward(sample), ids, LossWeights(), True)
+        nested = compute_losses(model.forward(sample), [ids], LossWeights(), True)
         assert bare.total.item() == nested.total.item() == bare.sample_totals[0]
         with pytest.raises(ValueError, match="2 label sequences for a pack of 1"):
-            compute_losses(model.forward(sample), [ids, ids], LossWeights())
+            compute_losses(model.forward(sample), [ids, ids], LossWeights(), True)
 
 
 class TestFullModelGradcheck:

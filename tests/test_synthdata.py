@@ -94,6 +94,30 @@ class TestGeneration:
         with pytest.raises(ValueError):
             GenConfig(sentence_len=(4, 2))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(n_train=-1), "n_train must be >= 1"),
+            (dict(n_dev=0), "n_dev must be >= 1"),
+            (dict(n_test=0), "n_test must be >= 1"),
+            (dict(d_v_in=0), "d_v_in must be >= 1"),
+            (dict(d_k_in=0), "d_k_in must be >= 1"),
+            (dict(d_o_in=0), "d_o_in must be >= 1"),
+            (dict(noise=-1.0), "noise must be finite and >= 0"),
+            (dict(noise=math.nan), "noise must be finite and >= 0"),
+            (dict(noise=math.inf), "noise must be finite and >= 0"),
+            (dict(heatmap=dict(n_keypoints=0)), "n_keypoints must be >= 1"),
+            (dict(use_heatmaps=True, heatmap=dict(n_keypoints=5)), "d_k_in == heatmap"),
+        ],
+    )
+    def test_counts_widths_noise_and_keypoints_checked(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**kw)
+
+    def test_zero_noise_and_matching_keypoints_accepted(self):
+        GenConfig(noise=0.0)
+        GenConfig(use_heatmaps=True, d_k_in=5, heatmap=HeatmapConfig(n_keypoints=5))
+
 
 class TestRenderHeatmap:
     def test_keypoint_cell_is_exactly_one(self):
@@ -231,8 +255,8 @@ class TestSpatialCropAugment:
 
 class TestHeatmapMode:
     def test_corpus_with_heatmaps(self, tmp_path):
-        cfg = tiny_config(use_heatmaps=True, d_k_in=6)
-        cfg.heatmap = HeatmapConfig(height=8, width=8, sigma=3.0, n_keypoints=6)
+        canvas = HeatmapConfig(height=8, width=8, sigma=3.0, n_keypoints=6)
+        cfg = tiny_config(use_heatmaps=True, d_k_in=6, heatmap=canvas)
         records = generate_corpus(cfg, tmp_path)
         sample, rec = synthdata.load_split(tmp_path, "train")[0]
         assert sample.x_k.shape[1] == 6
