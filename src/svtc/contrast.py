@@ -69,9 +69,10 @@ def gloss_align_loss(pairs: PairMatrices, targets: AlignTargets) -> Array:
             f"pair matrix shape {pairs.v2t.data.shape} does not match {n} glosses"
         )
     target = Array(targets.positives / targets.counts)
-    ce_v = ndgrad.neg(ndgrad.reduce_sum(ndgrad.mul(target, ndgrad.log_softmax(pairs.v2t, axis=1))))
-    ce_t = ndgrad.neg(ndgrad.reduce_sum(ndgrad.mul(target, ndgrad.log_softmax(pairs.t2v, axis=1))))
-    return ndgrad.mul(ndgrad.add(ce_v, ce_t), 0.5 / n)
+    ll_v = ndgrad.reduce_sum(ndgrad.mul(target, ndgrad.log_softmax(pairs.v2t, axis=1)))
+    ll_t = ndgrad.reduce_sum(ndgrad.mul(target, ndgrad.log_softmax(pairs.t2v, axis=1)))
+    # the cross-entropies' sign folds into the scale: negation is exact
+    return ndgrad.mul(ndgrad.add(ll_v, ll_t), -0.5 / n)
 
 
 def sentence_align_loss(visual_global: Array, text_global: Array) -> Array:
@@ -90,4 +91,4 @@ def sentence_align_loss(visual_global: Array, text_global: Array) -> Array:
     ref_term = float((q * log_q).sum())  # sum q log q, a constant
     log_p = ndgrad.log_softmax(visual_global, axis=-1)
     cross = ndgrad.reduce_sum(ndgrad.mul(Array(q), log_p))
-    return ndgrad.add(ref_term, ndgrad.neg(cross))
+    return ndgrad.add(ref_term, ndgrad.mul(cross, -1.0))

@@ -247,17 +247,17 @@ def ctc_loss(log_probs, labels) -> Array:
     posteriors.  An infeasible label length raises
     :class:`CtcInfeasibleError` instead of returning an infinite loss.
     """
-    (loss,) = ctc_loss_group([log_probs], [labels], [log_probs.data.shape[:1]])
-    return ndgrad.reduce_sum(loss)
+    return ndgrad.reduce_sum(ctc_loss_group([log_probs], [labels], [log_probs.data.shape[:1]]))
 
 
-def ctc_loss_group(log_prob_arrays, labels, lengths) -> list:
+def ctc_loss_group(log_prob_arrays, labels, lengths) -> Array:
     """:func:`ctc_loss` for every stream of every sample of a pack at once.
 
     Each [R, C] Array packs one stream per sample along time: sample i owns
     ``lengths[a][i]`` consecutive rows of array a.  ``labels`` holds one
     label sequence per sample.  All arrays share the class count; one
-    batched recursion runs every stream.  Returns one [n] Array of the n samples' losses per input array.
+    batched recursion runs every stream.  Returns one [A, n] Array: row a,
+    column i is array a's loss for sample i.
     """
     arrays = list(log_prob_arrays)
     if any(a.data.ndim != 2 for a in arrays):
@@ -285,15 +285,14 @@ def ctc_loss_group(log_prob_arrays, labels, lengths) -> list:
     log_p, grads = _ctc_kernel(
         streams, [prepared[i][0] for i in owners], [prepared[i][1] for i in owners], owners
     )
-    out = []
-    for j, (a, lens) in enumerate(zip(arrays, lengths)):
-        grad = np.concatenate(grads[j * n : (j + 1) * n])
+    per_array = [np.concatenate(grads[j * n : (j + 1) * n]) for j in range(len(arrays))]
 
-        def grad_fn(g, grad=grad, lens=lens):
-            return (grad * np.repeat(g, lens)[:, None],)
+    def grad_fn(g):
+        return tuple(
+            grad * np.repeat(g_a, lens)[:, None] for grad, g_a, lens in zip(per_array, g, lengths)
+        )
 
-        out.append(ndgrad.custom_op(-log_p[j * n : (j + 1) * n], (a,), grad_fn))
-    return out
+    return ndgrad.custom_op(-log_p.reshape(len(arrays), n), arrays, grad_fn)
 
 
 def collapse(path) -> list:

@@ -143,7 +143,7 @@ def _scalar_checks(seed: int):
         def fwd():
             streams = [ndgrad.log_softmax(a, axis=1), ndgrad.log_softmax(b, axis=1)]
             losses = ctc_loss_group(streams, labels, [(6, 5), (4, 3)])
-            return ndgrad.reduce_sum(ndgrad.mul(ndgrad.add(losses[0], losses[1]), [0.7, 1.3]))
+            return ndgrad.reduce_sum(ndgrad.mul(losses, [[0.7, 1.3], [0.4, 0.9]]))
 
         return fwd, [a, b]
 
@@ -161,7 +161,9 @@ def _scalar_checks(seed: int):
     def b_elementwise(rng):
         a, b = _leaf(rng, (4, 3)), _leaf(rng, (4, 3))
         return with_weights(
-            lambda: ndgrad.mul(ndgrad.add(a, ndgrad.neg(b)), ndgrad.add(ndgrad.mul(a, b), 0.5)),
+            lambda: ndgrad.mul(
+                ndgrad.add(a, ndgrad.mul(b, -1.0)), ndgrad.add(ndgrad.mul(a, b), 0.5)
+            ),
             [a, b],
         )
 

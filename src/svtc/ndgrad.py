@@ -34,7 +34,6 @@ __all__ = [
     "backward",
     "custom_op",
     "add",
-    "neg",
     "mul",
     "gelu",
     "matmul",
@@ -262,14 +261,6 @@ def add(a, b) -> Array:
             )
 
         _attach(out, (a, b), grad_fn)
-    return out
-
-
-def neg(a) -> Array:
-    a = _as_array(a)
-    out = Array(-a.data)
-    if _tracing(a):
-        _attach(out, (a,), lambda g: (-g,))
     return out
 
 

@@ -18,7 +18,6 @@ outputs do not depend on what it is packed with.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -136,7 +135,6 @@ class LossTerms:
     spn: float
     gloss_align: float
     sentence_align: float
-    sample_totals: list  # each sample's weighted loss, in pack order
 
 
 class ParamStore:
@@ -558,45 +556,32 @@ def compute_losses(
     if len(label_ids) != n:
         raise ValueError(f"{len(label_ids)} label sequences for a pack of {n} samples")
 
-    # one recursion for every head and pyramid stream of every sample; each
-    # part sums its streams in list order, one [n] vector per part
+    # one recursion for every head and pyramid stream of every sample: a
+    # [10, n] matrix, head rows first, weighted by one constant column
     heads = [outputs.streams[k] for k in HEAD_KEYS]
     stream_lengths = [outputs.lengths] * len(heads) + outputs.spn_lengths
-    terms = ctc_loss_group(heads + outputs.spn_streams, label_ids, stream_lengths)
-    terms_ctc = functools.reduce(ndgrad.add, terms[: len(heads)])
-    spn = terms[len(heads) :]
-    terms_spn = functools.reduce(ndgrad.add, spn) if spn else None
-
-    per_sample = ndgrad.mul(terms_ctc, weights.ctc)
-    if terms_spn is not None:
-        per_sample = ndgrad.add(per_sample, ndgrad.mul(terms_spn, weights.spn))
-    total = ndgrad.reduce_sum(per_sample)
-    sample_totals = per_sample.data.tolist()
-
-    g_vals, s_vals = [0.0] * n, [0.0] * n
+    losses = ctc_loss_group(heads + outputs.spn_streams, label_ids, stream_lengths)
+    part = np.array([[weights.ctc]] * len(heads) + [[weights.spn]] * len(outputs.spn_streams))
+    total = ndgrad.reduce_sum(ndgrad.mul(losses, part))
+    loss_g = loss_s = 0.0
     if include_align and (weights.gloss_align != 0.0 or weights.sentence_align != 0.0):
         for i, labels in enumerate(label_ids):
             _, _, pairs = align_glosses(outputs, labels, i)
-            loss_g = contrast.gloss_align_loss(pairs, contrast.alignment_targets(labels))
+            term = contrast.gloss_align_loss(pairs, contrast.alignment_targets(labels))
+            total = ndgrad.add(total, ndgrad.mul(term, weights.gloss_align))
+            loss_g += term.item()
 
-            visual_global = ndgrad.pool_spans(outputs.sentence_space_feats, [outputs.rows(i)])
-            # the KL reads the text side as a constant
-            text_global = Array(outputs.text_sentence_feat.data[i : i + 1])
-            loss_s = contrast.sentence_align_loss(visual_global, text_global)
-
-            weighted_g = ndgrad.mul(loss_g, weights.gloss_align)
-            total = ndgrad.add(total, weighted_g)
-            weighted_s = ndgrad.mul(loss_s, weights.sentence_align)
-            total = ndgrad.add(total, weighted_s)
-            sample_totals[i] = sample_totals[i] + weighted_g.item() + weighted_s.item()
-            g_vals[i] = loss_g.item()
-            s_vals[i] = loss_s.item()
+        # one row per sample; the KL reads the text side as a constant
+        rows = [outputs.rows(i) for i in range(n)]
+        visual_global = ndgrad.pool_spans(outputs.sentence_space_feats, rows)
+        term = contrast.sentence_align_loss(visual_global, outputs.text_sentence_feat)
+        total = ndgrad.add(total, ndgrad.mul(term, weights.sentence_align))
+        loss_s = term.item()
 
     return LossTerms(
         total=total,
-        ctc=sum(terms_ctc.data.tolist()),
-        spn=sum(terms_spn.data.tolist()) if terms_spn is not None else 0.0,
-        gloss_align=sum(g_vals),
-        sentence_align=sum(s_vals),
-        sample_totals=sample_totals,
+        ctc=float(losses.data[: len(heads)].sum()),
+        spn=float(losses.data[len(heads) :].sum()),
+        gloss_align=loss_g,
+        sentence_align=loss_s,
     )

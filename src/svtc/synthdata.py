@@ -32,8 +32,8 @@ class HeatmapConfig:
     n_keypoints: int = 12
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.height < 1 or self.width < 1:
             raise ValueError("canvas extents must be >= 1")
         if self.n_keypoints < 1:
@@ -59,8 +59,6 @@ class GenConfig:
     def __post_init__(self):
         if isinstance(self.heatmap, dict):
             self.heatmap = HeatmapConfig(**self.heatmap)
-        self.sentence_len = tuple(self.sentence_len)
-        self.frames_per_gloss = tuple(self.frames_per_gloss)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_train", "n_dev", "n_test", "d_v_in", "d_k_in", "d_o_in"):
@@ -75,12 +73,14 @@ class GenConfig:
             )
         if self.n_glosses < 2:
             raise ValueError("need at least 2 glosses (C >= 3)")
-        lo, hi = self.sentence_len
-        if not 1 <= lo <= hi:
-            raise ValueError("bad sentence length range")
-        flo, fhi = self.frames_per_gloss
-        if not 4 <= flo <= fhi:
-            raise ValueError("frames per gloss must be >= 4 to keep T >= 4N")
+        # at least 4 frames per gloss keeps T >= 4N
+        for name, low in (("sentence_len", 1), ("frames_per_gloss", 4)):
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or not all(type(v) is int for v in pair):
+                raise ValueError(f"{name} must be two integers [lo, hi], got {list(pair)}")
+            if not low <= pair[0] <= pair[1]:
+                raise ValueError(f"{name} needs {low} <= lo <= hi, got {list(pair)}")
+            setattr(self, name, pair)
 
     @property
     def gloss_names(self) -> list:
@@ -120,8 +120,8 @@ def render_heatmap(points: np.ndarray, cfg: HeatmapConfig) -> np.ndarray:
         raise ValueError("points must be [T, K, 2]")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    if cfg.sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(cfg.sigma) and cfg.sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {cfg.sigma}")
     ii = np.arange(cfg.height, dtype=np.float64)
     jj = np.arange(cfg.width, dtype=np.float64)
     di = ii[None, :, None] - pts[:, :, 0][:, None, :]  # [T, H, K]

@@ -396,6 +396,7 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
     records = []
     matrices = {}
     boundary_errors = []
+    reduction = math.prod(model.cfg.temporal_strides)  # input frames per T' row
     for sample, rec in pairs:
         label_ids = model.vocab.ids(sample.glosses)
         with ndgrad.no_grad():
@@ -412,7 +413,7 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
         true_spans = rec.get("true_spans")
         if true_spans and len(true_spans) == len(spans) > 1:
             pred_bounds = [s for s, _ in spans[1:]]
-            true_bounds = [s / 4.0 for s, _ in true_spans[1:]]
+            true_bounds = [s / reduction for s, _ in true_spans[1:]]
             for p, t in zip(pred_bounds, true_bounds):
                 boundary_errors.append(abs(p - t))
 

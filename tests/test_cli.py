@@ -760,9 +760,14 @@ class TestExitCodes:
             ('{"noise": NaN}', [], "noise must be finite and >= 0, got nan"),
             ('{"heatmap": {"n_keypoints": 0}}', ["--heatmaps"], "n_keypoints must be >= 1"),
             ('{"heatmap": {"n_keypoints": 5}}', ["--heatmaps"], "d_k_in == heatmap.n_keypoints"),
+            (
+                '{"heatmap": {"sigma": NaN}, "use_heatmaps": true}',
+                ["--heatmaps"],
+                "sigma must be finite and > 0, got nan",
+            ),
         ],
         ids=["n-train", "n-dev", "d-v-in", "noise-negative", "noise-nan", "no-keypoints",
-             "keypoints-not-d-k-in"],
+             "keypoints-not-d-k-in", "sigma-nan"],
     )
     def test_invalid_generation_config_writes_nothing(
         self, tmp_path, capsys, config, flags, message
@@ -771,6 +776,25 @@ class TestExitCodes:
         cfg_path.write_text(config)  # NaN is not JSON, but json.load reads it
         out = tmp_path / "o"
         assert main(["gen-data", "--out", str(out), "--config", str(cfg_path), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, key, got",
+        [
+            ({"sentence_len": [3]}, "sentence_len", "[3]"),
+            ({"sentence_len": [2, 3, 4]}, "sentence_len", "[2, 3, 4]"),
+            ({"sentence_len": ["a", "b"]}, "sentence_len", "['a', 'b']"),
+            ({"frames_per_gloss": [4.5, 8]}, "frames_per_gloss", "[4.5, 8]"),
+        ],
+        ids=["one-value", "three-values", "strings", "fraction"],
+    )
+    def test_range_pair_must_be_two_integers(self, tmp_path, capsys, config, key, got):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out), "--config", str(cfg_path)]) == 2
+        message = f"error: {key} must be two integers [lo, hi], got {got}"
         assert message in capsys.readouterr().err
         assert not out.exists()
 

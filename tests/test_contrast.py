@@ -221,6 +221,25 @@ class TestSentenceAlignLoss:
         (num,) = finite_difference_grads(forward, [fc])
         assert np.abs(fc.grad - num).max() / np.abs(num).max() <= 1e-6
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_pack_of_rows_equals_sum_of_one_row_calls(self, n):
+        # training scores a pack's n sentences in one call: the KL is
+        # row-wise, so the loss is the sum of the one-row losses and each
+        # visual row gets the bytes of its own one-row gradient
+        rng = np.random.default_rng(14 + n)
+        visual = Array(rng.standard_normal((n, 6)), grad_tracked=True)
+        text = Array(rng.standard_normal((n, 6)))
+        packed = sentence_align_loss(visual, text)
+        ng.backward(packed)
+        total = 0.0
+        for i in range(n):
+            row = Array(visual.data[i : i + 1].copy(), grad_tracked=True)
+            loss = sentence_align_loss(row, Array(text.data[i : i + 1]))
+            ng.backward(loss)
+            total += loss.item()
+            assert visual.grad[i].tobytes() == row.grad[0].tobytes()
+        assert packed.item() == pytest.approx(total, rel=1e-12, abs=0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sentence_align_loss(Array(np.ones((1, 3))), Array(np.ones((1, 4))))

@@ -216,29 +216,30 @@ class TestCtcLoss:
         rng = np.random.default_rng(41)
         lengths = [7, 12, 7, 9, 12]
         arrays = [Array(np.log(random_stream(rng, T, 4)), grad_tracked=True) for T in lengths]
-        terms = ctc_loss_group(arrays, [labels], [(T,) for T in lengths])
-        total = ng.add(ng.add(ng.add(ng.add(terms[0], terms[1]), terms[2]), terms[3]), terms[4])
-        ng.backward(ng.reduce_sum(total))
-        for a, term in zip(arrays, terms):
+        losses = ctc_loss_group(arrays, [labels], [(T,) for T in lengths])
+        assert losses.data.shape == (len(arrays), 1)
+        ng.backward(ng.reduce_sum(losses))
+        for a, row in zip(arrays, losses.data):
             want_loss, want_grad = two_pass_ctc(a.data, labels)
-            assert term.data.tobytes() == np.float64(want_loss).tobytes()
+            assert row.tobytes() == np.float64(want_loss).tobytes()
             assert a.grad.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("labels", [[2], [1, 3, 3], [3, 1, 2, 1]])
     def test_heads_plus_pyramid_group_bitwise_equals_one_stream_calls(self, labels):
         # compute_losses' one call: 4 head streams at T/4, then the 6 pyramid
-        # streams level-major (3 at T/4, 3 at T/2) for an odd T of 29
+        # streams level-major (3 at T/4, 3 at T/2) for an odd T of 29; each
+        # array feeds only its own row, so one backward gives each array the
+        # gradient of a lone loss
         rng = np.random.default_rng(43)
         lengths = [8] * 4 + [8, 8, 8, 15, 15, 15]
         grouped = [Array(np.log(random_stream(rng, T, 5)), grad_tracked=True) for T in lengths]
         alone = [Array(a.data.copy(), grad_tracked=True) for a in grouped]
-        terms = ctc_loss_group(grouped, [labels], [(T,) for T in lengths])
-        for term in terms:
-            ng.backward(ng.reduce_sum(term))
-        for a, b, term in zip(grouped, alone, terms):
+        losses = ctc_loss_group(grouped, [labels], [(T,) for T in lengths])
+        ng.backward(ng.reduce_sum(losses))
+        for a, b, row in zip(grouped, alone, losses.data):
             want = ctc_loss(b, labels)
             ng.backward(want)
-            assert term.data.tobytes() == want.data.tobytes()
+            assert row.tobytes() == want.data.tobytes()
             assert a.grad.tobytes() == b.grad.tobytes()
 
     def test_packed_mixed_label_group_bitwise_equals_lone_losses(self):
@@ -252,14 +253,15 @@ class TestCtcLoss:
             for lens in lengths
         ]
         losses = ctc_loss_group(arrays, labels, lengths)
-        ng.backward(ng.reduce_sum(ng.add(losses[0], losses[1])))
-        for a, lens, loss in zip(arrays, lengths, losses):
+        assert losses.data.shape == (2, 3)
+        ng.backward(ng.reduce_sum(losses))
+        for a, lens, loss in zip(arrays, lengths, losses.data):
             start = 0
             for i, n in enumerate(lens):
                 alone = Array(a.data[start : start + n], grad_tracked=True)
                 want = ctc_loss(alone, labels[i])
                 ng.backward(want)
-                assert loss.data[i].tobytes() == want.data.tobytes()
+                assert loss[i].tobytes() == want.data.tobytes()
                 assert a.grad[start : start + n].tobytes() == alone.grad.tobytes()
                 start += n
 
@@ -275,8 +277,8 @@ class TestCtcLoss:
         labels = [2, 1, 1]
         arrays = [Array(np.log(random_stream(rng, 7, 4))) for _ in range(5)]
         grouped = ctc_loss_group(arrays, [labels], [(7,)] * 5)
-        for a, g in zip(arrays, grouped):
-            assert g.item() == pytest.approx(ctc_loss(a, labels).item(), abs=1e-12)
+        for a, g in zip(arrays, grouped.data[:, 0]):
+            assert g == pytest.approx(ctc_loss(a, labels).item(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,7 @@ class TestBackward:
 
         def forward():
             h = ng.gelu(ng.add(ng.matmul(x1, w), b))
-            d = ng.add(h, ng.neg(t))
+            d = ng.add(h, ng.mul(t, -1.0))
             return ng.mul(ng.reduce_sum(ng.mul(d, d)), 1.0 / 12)
 
         check_grads(forward, [w, b, x1], tol=1e-5)
@@ -557,7 +557,7 @@ class TestBlanketGradientInvariant:
 
         cases = [
             lambda: ng.reduce_sum(ng.mul(ng.gelu(x), proj)),
-            lambda: ng.reduce_sum(ng.mul(ng.add(ng.neg(x), ng.mul(x, x)), proj)),
+            lambda: ng.reduce_sum(ng.mul(ng.add(ng.mul(x, -1.0), ng.mul(x, x)), proj)),
             lambda: ng.reduce_sum(ng.mul(softmax(x, axis=1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.log_softmax(x, axis=1), proj)),
             lambda: ng.reduce_sum(ng.mul(ng.temporal_conv(x, w, (5,), 1), proj)),

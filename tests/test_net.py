@@ -499,14 +499,21 @@ class TestPacking:
         def run(packs):
             for p in params:
                 p.grad = None
-            totals = []
+            # the pack's total and its four parts, summed over the packs
+            sums = np.zeros(5)
             for pack in packs:
                 outputs = model.forward(*pack)
                 ids = [VOCAB.ids(s.glosses) for s in pack]
                 terms = compute_losses(outputs, ids, LossWeights(), include_align=True)
                 ng.backward(terms.total)
-                totals += terms.sample_totals
-            return totals, [p.grad for p in params]
+                sums += [
+                    terms.total.item(),
+                    terms.ctc,
+                    terms.spn,
+                    terms.gloss_align,
+                    terms.sentence_align,
+                ]
+            return sums, [p.grad for p in params]
 
         packed, packed_grads = run([samples])
         alone, alone_grads = run([[s] for s in samples])
@@ -537,7 +544,13 @@ class TestPacking:
         ids = VOCAB.ids(sample.glosses)
         bare = compute_losses(model.forward(sample), ids, LossWeights(), True)
         nested = compute_losses(model.forward(sample), [ids], LossWeights(), True)
-        assert bare.total.item() == nested.total.item() == bare.sample_totals[0]
+        assert bare.total.item() == nested.total.item()
+        assert (bare.ctc, bare.spn, bare.gloss_align, bare.sentence_align) == (
+            nested.ctc,
+            nested.spn,
+            nested.gloss_align,
+            nested.sentence_align,
+        )
         with pytest.raises(ValueError, match="2 label sequences for a pack of 1"):
             compute_losses(model.forward(sample), [ids, ids], LossWeights(), True)
 

@@ -174,6 +174,11 @@ class TestRenderHeatmap:
         cfg.sigma = -1.0
         with pytest.raises(ValueError):
             render_heatmap(np.zeros((1, 1, 2)), cfg)
+        with pytest.raises(ValueError, match="finite"):
+            HeatmapConfig(sigma=float("nan"))
+        cfg.sigma = float("nan")  # set after the constructor's check
+        with pytest.raises(ValueError, match="sigma must be finite and > 0, got nan"):
+            render_heatmap(np.zeros((1, 1, 2)), cfg)
 
     def test_outside_canvas_points_still_computed(self):
         cfg = HeatmapConfig(height=4, width=4, sigma=4.0, n_keypoints=1)

@@ -14,8 +14,8 @@ the heatmap corpus; ``svtc eval`` and ``svtc decode`` with the ``avg`` and
 
 It prints sorted lines, so the outputs of two trees can be diffed:
 
-    default ndgrad.concat(axis) used 0 of 3402
-    unrun src/svtc/align.py:142
+    default ndgrad.log_softmax(axis) used 0 of 10346
+    unrun src/svtc/align.py:0042
 
 A ``default`` line counts, for one parameter with a default of a function or
 method defined at module level, the product calls that left it at its
