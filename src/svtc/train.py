@@ -7,14 +7,14 @@ triple fully determines the metrics log and the checkpoint bytes.
 Training runs each batch as packs: consecutive samples concatenated along
 time, up to ``PACK_ROWS`` frames, one forward graph and one backward per
 pack.  The batch's gradients sum over its packs before one Adam step.
+Evaluation and alignment run a split as packs too: one forward per pack,
+then beam search or DTW per sample on the sample's rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -86,16 +86,6 @@ class RunArtifacts:
     best_dev_wer: float
     epochs: list = field(default_factory=list)
     skipped_samples: int = 0
-
-
-def thread_count() -> int:
-    """Worker cap from SVTC_THREADS (default 1)."""
-    raw = os.environ.get("SVTC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SVTC_THREADS must be an integer, got {raw!r}") from None
-    return max(n, 1)
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -180,16 +170,11 @@ def load_checkpoint(base_path) -> net.Model:
     return model
 
 
-def decode_sample(model: net.Model, sample, width: int, head: str) -> list:
+def decode_sample(streams: dict, width: int, head: str) -> list:
     """Gloss ids for one sample via beam search over the selected stream.
 
-    Only the recognition trunk runs: the pyramid and adapters supervise
-    training and never reach a decode.
+    ``streams`` maps each head key to the sample's [T', C] log-prob rows.
     """
-    if head != "avg" and head not in net.HEAD_KEYS:
-        raise ValueError(f"unknown head {head!r} (expected v|k|o|c|avg)")
-    with ndgrad.no_grad():
-        streams = model.recognize(sample).streams
     if head == "avg":
         stream = average_streams([ProbStream(streams[k], log_space=True) for k in net.HEAD_KEYS])
     else:
@@ -197,24 +182,29 @@ def decode_sample(model: net.Model, sample, width: int, head: str) -> list:
     return beam_decode(stream, width=width)
 
 
-def evaluate_split(model, samples, width=5, head="avg", workers=None):
-    """Micro-averaged WER plus per-sample decodes over (sample, record) pairs."""
-    workers = workers or thread_count()
+def evaluate_split(model, samples, width=5, head="avg", workers=1):
+    """Micro-averaged WER plus per-sample decodes over (sample, record) pairs.
 
-    def one(pair):
-        sample, _ = pair
-        hyp = decode_sample(model, sample, width, head)
-        ref = model.vocab.ids(sample.glosses)
-        return sample.id, hyp, wer(ref, hyp)
-
-    if workers > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, samples))
-    else:
-        rows = [one(p) for p in samples]
-    report = aggregate_reports([r for _, _, r in rows])
-    decodes = [(sid, model.vocab.lookup_all(hyp)) for sid, hyp, _ in rows]
-    return report, decodes
+    The samples run as packs through the recognition trunk only: the pyramid
+    and adapters supervise training and never reach a decode.  ``workers``
+    must be 1; the keyword goes once the benchmark stops passing it.
+    """
+    if workers != 1:
+        raise ValueError(f"evaluation runs in one thread, got workers={workers}")
+    if head != "avg" and head not in net.HEAD_KEYS:
+        raise ValueError(f"unknown head {head!r} (expected v|k|o|c|avg)")
+    reports, decodes = [], []
+    for pack in packs([s for s, _ in samples], PACK_ROWS):
+        with ndgrad.no_grad():
+            rec = model.recognize(*pack)
+        stop = 0
+        for sample, rows in zip(pack, rec.block_lengths[-1]):
+            start, stop = stop, stop + rows
+            streams = {k: a.data[start:stop] for k, a in rec.streams.items()}
+            hyp = decode_sample(streams, width, head)
+            reports.append(wer(model.vocab.ids(sample.glosses), hyp))
+            decodes.append((sample.id, model.vocab.lookup_all(hyp)))
+    return aggregate_reports(reports), decodes
 
 
 def _augment(sample, tcfg: TrainConfig, epoch: int, index: int, hm_cfg, gen_seed: int):
@@ -385,6 +375,7 @@ def evaluate_corpus(checkpoint_base, corpus_dir, split: str, width=5, head="avg"
 def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
     """Per-sample alignment dumps plus the mean boundary error in T/4 frames.
 
+    The split runs as packs: one forward per pack, then DTW per sample.
     Writes align.jsonl (path, spans, log_score per sample) and
     similarity.svt (per-sample visual-textual pair matrices).
     """
@@ -393,14 +384,20 @@ def dump_alignments(checkpoint_base, corpus_dir, split, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = synthdata.load_split(corpus_dir, split)
 
+    aligned = []  # per sample, in split order: (path, spans, pair matrices)
+    for pack in packs([s for s, _ in pairs], PACK_ROWS):
+        with ndgrad.no_grad():
+            outputs = model.forward(*pack)
+            aligned += [
+                net.align_glosses(outputs, model.vocab.ids(s.glosses), i)
+                for i, s in enumerate(pack)
+            ]
+
     records = []
     matrices = {}
     boundary_errors = []
     reduction = math.prod(model.cfg.temporal_strides)  # input frames per T' row
-    for sample, rec in pairs:
-        label_ids = model.vocab.ids(sample.glosses)
-        with ndgrad.no_grad():
-            path, spans, pair_mats = net.align_glosses(model.forward(sample), label_ids, 0)
+    for (sample, rec), (path, spans, pair_mats) in zip(pairs, aligned):
         matrices[sample.id] = pair_mats.v2t.data
         records.append(
             {

@@ -356,11 +356,13 @@ class TestStreamBoundary:
         ids = model.vocab.ids(sample.glosses)
         terms = net.compute_losses(model.forward(sample), ids, net.LossWeights(), True)
         ng.backward(terms.total)
+        with ng.no_grad():
+            streams = {k: a.data for k, a in model.recognize(sample).streams.items()}
         assert len(built) == 0
-        train_mod.decode_sample(model, sample, 5, "avg")
+        train_mod.decode_sample(streams, 5, "avg")
         assert len(built) == 5  # four heads plus their average
         built.clear()
-        train_mod.decode_sample(model, sample, 5, "c")
+        train_mod.decode_sample(streams, 5, "c")
         assert len(built) == 1
 
 
@@ -475,7 +477,9 @@ class TestEvalAndDecode:
         pairs = synthdata.load_split(tiny_corpus, "dev")
         reports = []
         for sample, _ in pairs:
-            hyp = decode_sample(model, sample, 5, "avg")
+            with ng.no_grad():
+                streams = {k: a.data for k, a in model.recognize(sample).streams.items()}
+            hyp = decode_sample(streams, 5, "avg")
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
         agg = aggregate_reports(reports)
         total_edits = sum(r.distance for r in reports)
@@ -501,22 +505,32 @@ class TestEvalAndDecode:
             hyp = reference_beam_decode(stream, 5)
             reports.append(wer(model.vocab.ids(sample.glosses), hyp))
             want.append((sample.id, model.vocab.lookup_all(hyp)))
-        report, decodes = evaluate_split(model, pairs, width=5, workers=1)
+        report, decodes = evaluate_split(model, pairs, width=5)
         assert decodes == want
         assert report.to_dict() == aggregate_reports(reports).to_dict()
         assert any(glosses for _, glosses in decodes)
 
     def test_unknown_head_rejected_before_the_model_runs(self):
-        from svtc.train import decode_sample
+        from svtc.train import evaluate_split
 
         class Untouchable:
-            def recognize(self, sample):
+            def recognize(self, *samples):
                 raise AssertionError("model ran before the head was checked")
 
             forward = recognize
 
+        pairs = [(SimpleNamespace(id="s", n_frames=8, glosses=["G01"]), {})]
         with pytest.raises(ValueError, match="unknown head 'x'"):
-            decode_sample(Untouchable(), None, 5, "x")
+            evaluate_split(Untouchable(), pairs, 5, "x")
+
+    def test_workers_other_than_one_rejected(self, tiny_corpus, tiny_run):
+        from svtc.train import evaluate_split
+
+        _, artifacts, _ = tiny_run
+        model = load_checkpoint(artifacts.checkpoint_path)
+        pairs = synthdata.load_split(tiny_corpus, "dev")
+        with pytest.raises(ValueError, match="workers=2"):
+            evaluate_split(model, pairs, workers=2)
 
     def test_decode_line_format(self, tiny_corpus, tiny_run, tmp_path):
         _, artifacts, _ = tiny_run
@@ -834,30 +848,6 @@ class TestBlasPin:
     def test_preset_value_wins(self):
         values, _ = self.import_cli({"OPENBLAS_NUM_THREADS": "2"})
         assert values == ["2", "1", "1"]
-
-
-class TestThreadCap:
-    def test_env_var_parsed(self, monkeypatch):
-        from svtc.train import thread_count
-
-        monkeypatch.setenv("SVTC_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("SVTC_THREADS", "0")
-        assert thread_count() == 1
-        monkeypatch.setenv("SVTC_THREADS", "x")
-        with pytest.raises(ValueError):
-            thread_count()
-
-    def test_parallel_eval_matches_serial(self, tiny_corpus, tiny_run, monkeypatch):
-        from svtc.train import evaluate_split, load_checkpoint
-
-        _, artifacts, _ = tiny_run
-        model = load_checkpoint(artifacts.checkpoint_path)
-        pairs = synthdata.load_split(tiny_corpus, "dev")
-        serial, dec_s = evaluate_split(model, pairs, workers=1)
-        parallel, dec_p = evaluate_split(model, pairs, workers=4)
-        assert serial.to_dict() == parallel.to_dict()
-        assert dec_s == dec_p
 
 
 class TestAdam:

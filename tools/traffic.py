@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 # one BLAS thread before numpy loads, as the CLI and the benchmark pin it
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "SVTC_THREADS"):
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
