@@ -83,16 +83,21 @@ _JSON_KINDS = {
 _MODEL_KEYS = ("d_v", "d_t", "d_j")
 
 
+def _check_keys(data, allowed, label: str, hint: str = ""):
+    """Reject a non-object or a key outside ``allowed`` as usage errors."""
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise UsageError(f"unknown {label} config keys: expected an object, got {kind}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise UsageError(f"unknown {label} config keys: {sorted(unknown)}{hint}")
+
+
 def _dataclass_from(cls, data: dict, label: str, keys=None):
     """``cls(**data)`` after rejecting a non-object, unknown keys or a value
     of the wrong JSON kind as usage errors.  Given ``keys``, only those
     fields are accepted and the checked dict is returned unbuilt."""
-    if not isinstance(data, dict):
-        kind = type(data).__name__
-        raise UsageError(f"unknown {label} config keys: expected an object, got {kind}")
-    unknown = set(data) - set(keys or (f.name for f in fields(cls)))
-    if unknown:
-        raise UsageError(f"unknown {label} config keys: {sorted(unknown)}")
+    _check_keys(data, keys or [f.name for f in fields(cls)], label)
     for f in fields(cls):
         if f.name not in data or f.type not in _JSON_KINDS:
             continue
@@ -107,17 +112,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="svtc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output directory")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument(
         "--seed", type=_non_negative_int, default=None, help="override the config seed"
     )
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
+    configured.add_argument("--config", type=str, default=None, help="JSON config file")
 
-    p = sub.add_parser("gen-data", parents=[common], help="write a synthetic corpus")
+    p = sub.add_parser("gen-data", parents=[configured, out], help="write a synthetic corpus")
     p.add_argument("--heatmaps", action="store_true", help="render keypoint heatmaps")
 
-    p = sub.add_parser("train", parents=[common], help="train a model on a corpus")
+    p = sub.add_parser("train", parents=[configured, out], help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--epochs", type=_positive_int, default=None)
     p.add_argument("--lr0", type=_finite_float, default=None)
@@ -140,7 +147,7 @@ def build_parser() -> _Parser:
         ("decode", "write decoded gloss lines for a split"),
         ("align", "dump alignment paths and similarity matrices"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[out], help=help_text)
         p.add_argument("--corpus", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--split", default="dev", choices=["train", "dev", "test"])
@@ -148,19 +155,11 @@ def build_parser() -> _Parser:
             p.add_argument("--head", default="avg", choices=["v", "k", "o", "c", "avg"])
             p.add_argument("--beam-width", type=_positive_int, default=5)
 
-    p = sub.add_parser("gradcheck", parents=[common], help="finite-difference audit")
+    p = sub.add_parser("gradcheck", help="finite-difference audit")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="seed of the checked inputs")
     p.add_argument("--skip-model", action="store_true", help="primitives only")
 
     return parser
-
-
-def _train_config(args, raw) -> TrainConfig:
-    sectioned = isinstance(raw, dict) and ("train" in raw or "model" in raw)
-    data = raw.get("train", {}) if sectioned else raw
-    tcfg = _dataclass_from(TrainConfig, data, "train")
-    # each train flag's dest is the field it sets; replace() checks the result
-    flags = {f.name: vars(args)[f.name] for f in fields(TrainConfig)}
-    return replace(tcfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def cmd_gen_data(args) -> int:
@@ -182,7 +181,12 @@ def cmd_train(args) -> int:
     if not args.out:
         raise UsageError("train requires --out")
     raw = _load_json(args.config) if args.config else {}
-    tcfg = _train_config(args, raw)
+    hint = '; a train config holds only a "train" and a "model" section'
+    _check_keys(raw, ("train", "model"), "train", hint)
+    tcfg = _dataclass_from(TrainConfig, raw.get("train", {}), "train")
+    # each train flag's dest is the field it sets; replace() checks the result
+    flags = {f.name: vars(args)[f.name] for f in fields(TrainConfig)}
+    tcfg = replace(tcfg, **{name: v for name, v in flags.items() if v is not None})
     # fusion and seed come from the train settings, sizes from the corpus
     widths = _dataclass_from(net.ModelConfig, raw.get("model", {}), "model", _MODEL_KEYS)
     artifacts = train_mod.train(args.corpus, args.out, tcfg, widths)
@@ -236,8 +240,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    results = gradcheck.run_suite(seed=seed, include_model=not args.skip_model)
+    results = gradcheck.run_suite(seed=args.seed, include_model=not args.skip_model)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]

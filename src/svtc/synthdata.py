@@ -166,10 +166,7 @@ def frame_rate_augment(sample: Sample, factor: float) -> Sample:
     repeats = sum(1 for a, b in zip(sample.glosses, sample.glosses[1:]) if a == b)
     floor_T = max(4 * n, 4 * (n + repeats), 4)
     new_T = max(int(round(T * factor)), floor_T)
-    if new_T == T:
-        idx = np.arange(T)
-    else:
-        idx = np.round(np.linspace(0.0, T - 1, num=new_T)).astype(np.intp)
+    idx = np.round(np.linspace(0.0, T - 1, num=new_T)).astype(np.intp)
     return Sample(
         id=sample.id,
         glosses=list(sample.glosses),
@@ -293,18 +290,11 @@ def generate_corpus(cfg: GenConfig, out_dir) -> list:
     with open(out / "corpus.jsonl", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    meta = {"config": _config_dict(cfg), "glosses": cfg.gloss_names}
+    meta = {"config": asdict(cfg), "glosses": cfg.gloss_names}
     with open(out / "vocab.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return records
-
-
-def _config_dict(cfg: GenConfig) -> dict:
-    d = asdict(cfg)
-    d["sentence_len"] = list(cfg.sentence_len)
-    d["frames_per_gloss"] = list(cfg.frames_per_gloss)
-    return d
 
 
 def load_manifest(corpus_dir) -> list:
@@ -319,8 +309,16 @@ def load_manifest(corpus_dir) -> list:
 
 
 def load_meta(corpus_dir) -> dict:
-    with open(Path(corpus_dir) / "vocab.json") as fh:
-        return json.load(fh)
+    """``vocab.json`` with its ``"config"`` read back as the GenConfig the
+    corpus was generated with; a missing or invalid config is a ValueError."""
+    path = Path(corpus_dir) / "vocab.json"
+    with open(path) as fh:
+        meta = json.load(fh)
+    try:
+        meta["config"] = GenConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"bad corpus config {path}: {type(err).__name__}: {err}") from None
+    return meta
 
 
 def load_split(corpus_dir, split: str) -> list:

@@ -235,15 +235,15 @@ def packs(samples, max_rows: int):
 
 
 def model_for_corpus(meta: dict, **settings) -> net.Model:
-    """A model sized to a corpus's ``vocab.json``; ``settings`` set the other
-    ModelConfig fields."""
+    """A model sized to a corpus's ``synthdata.load_meta``; ``settings`` set
+    the other ModelConfig fields."""
     vocab = GlossVocab(tuple(meta["glosses"]))
-    gen_cfg = meta.get("config", {})
+    gen = meta["config"]
     cfg = net.ModelConfig(
         vocab_size=vocab.size,
-        in_dim_v=gen_cfg.get("d_v_in", 16),
-        in_dim_k=gen_cfg.get("d_k_in", 12),
-        in_dim_o=gen_cfg.get("d_o_in", 16),
+        in_dim_v=gen.d_v_in,
+        in_dim_k=gen.d_k_in,
+        in_dim_o=gen.d_o_in,
         **settings,
     )
     return net.Model(cfg, vocab)
@@ -275,11 +275,8 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, widths: dict | None = None):
     out_dir = Path(out_dir)
 
     meta = synthdata.load_meta(corpus_dir)
-    gen_cfg = meta.get("config", {})
-    gen_seed = gen_cfg.get("seed", 0)
-    hm_cfg = None
-    if gen_cfg.get("use_heatmaps"):
-        hm_cfg = synthdata.HeatmapConfig(**gen_cfg["heatmap"])
+    gen = meta["config"]
+    hm_cfg = gen.heatmap if gen.use_heatmaps else None
     model = model_for_corpus(
         meta, fusion_kind=tcfg.fusion, seed=tcfg.seed, **(widths or {})
     )
@@ -314,7 +311,7 @@ def train(corpus_dir, out_dir, tcfg: TrainConfig, widths: dict | None = None):
                 batch = []
                 for idx in order[start : start + tcfg.batch_size]:
                     sample = _augment(
-                        train_samples[idx], tcfg, epoch, int(idx), hm_cfg, gen_seed
+                        train_samples[idx], tcfg, epoch, int(idx), hm_cfg, gen.seed
                     )
                     try:
                         t_out = model.block_lengths((sample.n_frames,))[-1][0]

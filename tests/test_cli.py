@@ -1,8 +1,10 @@
 """CLI surface and training-loop contracts on tiny corpora."""
 
+import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +17,7 @@ import pytest
 from svtc import gradcheck, net, synthdata
 from svtc import ndgrad as ng
 from svtc import train as train_mod
-from svtc.cli import main
+from svtc.cli import build_parser, main
 from svtc.ndgrad import Array
 from svtc.synthdata import GenConfig, HeatmapConfig
 from svtc.train import (
@@ -327,16 +329,58 @@ class TestTrainConfigFile:
         assert sidecar["model"]["fusion_kind"] == "none" and sidecar["model"]["seed"] == 4
         assert not any(n.startswith("fuse") for n in load_checkpoint(base).parameters())
 
-    def test_flat_config_is_read_as_train_fields(self, tmp_path, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize(
+        "config, stray",
+        [
+            ({"model": {"d_v": 8}, "lambda_g": 0, "lambda_s": 0}, ["lambda_g", "lambda_s"]),
+            ({"model": {"d_v": 8}, "epochs": 1, "bogus_key": 3}, ["bogus_key", "epochs"]),
+            ({"train": {"epochs": 1}, "bogus_key": 3}, ["bogus_key"]),
+            ({"epochs": 3, "seed": 4}, ["epochs", "seed"]),
+        ],
+        ids=["lambdas", "epochs-and-bogus", "next-to-train", "flat"],
+    )
+    def test_key_outside_the_sections_is_usage_error(
+        self, tmp_path, capsys, no_training, config, stray
+    ):
+        assert self.run_with(tmp_path, config) == 1
+        err = capsys.readouterr().err
+        assert f"error: unknown train config keys: {stray}" in err
+        assert 'a train config holds only a "train" and a "model" section' in err
+        assert not (tmp_path / "o").exists()
 
-        def record(corpus, out, tcfg, widths):
-            seen.append(tcfg)
-            return SimpleNamespace(best_dev_wer=0.0, checkpoint_path=out)
 
-        monkeypatch.setattr(train_mod, "train", record)
-        assert self.run_with(tmp_path, {"epochs": 3, "align_warmup_epochs": 1, "seed": 4}) == 0
-        assert (seen[0].epochs, seen[0].seed) == (3, 4)
+class TestCorpusConfig:
+    def test_load_meta_reads_the_generation_config_back(self, tmp_path):
+        cfg = GenConfig(n_train=2, n_dev=1, n_test=1, seed=4, use_heatmaps=True)
+        synthdata.generate_corpus(cfg, tmp_path)
+        assert synthdata.load_meta(tmp_path)["config"] == cfg
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("config"), "KeyError: 'config'"),
+            (lambda m: m["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+            (lambda m: m["config"].update(n_train="lots"), "'<' not supported"),
+            (lambda m: m["config"].update(n_dev=0), "n_dev must be >= 1, got 0"),
+            (lambda m: m["config"]["heatmap"].update(bogus=1), "keyword argument 'bogus'"),
+        ],
+        ids=["missing", "unknown-key", "wrongly-typed", "invalid", "unknown-heatmap-key"],
+    )
+    def test_bad_corpus_config_is_a_data_error(
+        self, tiny_corpus, tmp_path, capsys, edit, message
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus)
+        meta = json.loads((corpus / "vocab.json").read_text())
+        edit(meta)
+        (corpus / "vocab.json").write_text(json.dumps(meta))
+        out = tmp_path / "o"
+        argv = ["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]
+        assert main(argv + ["--align-warmup", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: bad corpus config {corpus / 'vocab.json'}: " in err
+        assert message in err
+        assert not out.exists()
 
 
 class TestStreamBoundary:
@@ -749,9 +793,8 @@ class TestExitCodes:
         [
             ("gen-data", {"n_train": 2, "seed": -1}),
             ("train", {"train": {"seed": -1}}),
-            ("train", {"seed": -1}),
         ],
-        ids=["generation", "train-section", "flat-train"],
+        ids=["generation", "train-section"],
     )
     def test_negative_config_seed_is_a_data_error(self, tmp_path, capsys, command, config):
         cfg_path = tmp_path / "cfg.json"
@@ -812,6 +855,33 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", "--seed"), ("eval", "--config"), ("decode", "--seed"), ("decode", "--config"),
+         ("align", "--seed"), ("align", "--config"), ("gradcheck", "--config"),
+         ("gradcheck", "--out")],
+        ids=["eval-seed", "eval-config", "decode-seed", "decode-config", "align-seed",
+             "align-config", "gradcheck-config", "gradcheck-out"],
+    )
+    def test_flag_a_command_does_not_read_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran despite {flag}")
+
+        monkeypatch.setattr(train_mod, "evaluate_corpus", must_not_run)
+        monkeypatch.setattr(train_mod, "dump_alignments", must_not_run)
+        monkeypatch.setattr(gradcheck, "run_suite", must_not_run)
+        out = tmp_path / "o"
+        value = {"--seed": "5", "--config": str(tmp_path / "cfg.json"), "--out": str(out)}[flag]
+        argv = [command, flag, value]
+        if command != "gradcheck":
+            argv += ["--corpus", str(tmp_path), "--checkpoint", str(tmp_path / "ck")]
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_is_an_unknown_subcommand(self, capsys):
         assert main(["bench"]) == 1
         assert "invalid choice: 'bench'" in capsys.readouterr().err
@@ -821,6 +891,34 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_train": 2, "n_dev": 1, "n_test": 1}))
         assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 0
+
+
+class TestOptionSurface:
+    # every option each subcommand accepts; a flag no command reads is absent
+    OPTIONS = {
+        "gen-data": {"--seed", "--config", "--out", "--heatmaps"},
+        "train": {
+            "--seed", "--config", "--out", "--corpus", "--epochs", "--lr0", "--weight-decay",
+            "--batch-size", "--align-warmup", "--lambda-ctc", "--lambda-spn", "--lambda-g",
+            "--lambda-s", "--fusion", "--no-frame-rate-aug",
+        },
+        "eval": {"--out", "--corpus", "--checkpoint", "--split", "--head", "--beam-width"},
+        "decode": {"--out", "--corpus", "--checkpoint", "--split", "--head", "--beam-width"},
+        "align": {"--out", "--corpus", "--checkpoint", "--split"},
+        "gradcheck": {"--seed", "--skip-model"},
+    }
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        seen = {}
+        for name, parser in subparsers.choices.items():
+            options = [a.option_strings for a in parser._actions if a.dest != "help"]
+            assert all(len(strings) == 1 for strings in options)
+            seen[name] = {strings[0] for strings in options}
+        assert seen == self.OPTIONS
+        assert sum(map(len, seen.values())) == 37
 
 
 class TestBlasPin:
